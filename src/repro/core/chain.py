@@ -17,13 +17,13 @@ The bit-true simulator has two interchangeable engines, selected with the
 underlying stage):
 
 * ``"reference"`` — the original sample-by-sample / arbitrary-precision
-  integer path.  It is the gold model and the only path that can record the
-  switching-activity traces consumed by the power model.
+  integer path.  It is the gold model.
 * ``"vectorized"`` — a numpy fast path (cumsum-based Hogenauer evaluation,
   strided-window matmul FIR stages, integer constant multiply for the
-  scaler) that produces **bit-identical** outputs 10–100× faster.
+  scaler) that produces **bit-identical** outputs and Hogenauer toggle
+  traces 10–100× faster.
 * ``"auto"`` (default) — vectorized whenever applicable (register widths and
-  accumulators fit ``int64``, no trace requested), reference otherwise.
+  accumulators fit ``int64``), reference otherwise.
 
 For records too long to process in one shot,
 :meth:`DecimationChain.simulate_blocks` streams the code stream through the
@@ -429,9 +429,9 @@ class DecimationChain:
 
         ``backend`` selects the simulation engine for every stage
         (``"auto"``, ``"reference"`` or ``"vectorized"``; see the module
-        docstring).  All engines return bit-identical words; tracing for the
-        power model (``collect_trace=True``) runs the Hogenauer stages on
-        the reference path regardless.
+        docstring).  All engines return bit-identical words and, with
+        ``collect_trace=True``, record identical Hogenauer toggle traces for
+        the power model.
 
         ``codes`` may also be a 2-D ``(batch, n)`` array of independent
         records: every stage then runs batch-vectorized (one cumsum/matmul
@@ -450,9 +450,8 @@ class DecimationChain:
             data = self._equalizer_impl.process(data, backend=backend)
             return self._finalize_output(data)
         self._hogenauer.reset()
-        hog_backend = "auto" if (backend == "vectorized" and collect_trace) else backend
         data = self._hogenauer.process(signed, collect_trace=collect_trace,
-                                       backend=hog_backend)
+                                       backend=backend)
         data = self._halfband_impl.process(data, backend=backend)
         data = self.scaling.process(data, backend=backend)
         data = self._equalizer_impl.process(data, backend=backend)

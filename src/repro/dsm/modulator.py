@@ -34,7 +34,7 @@ Three simulation engines are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 from scipy import signal
@@ -116,6 +116,15 @@ class BatchSimulationResult:
         )
 
 
+def _finite_stimulus(u: np.ndarray) -> np.ndarray:
+    """Coerce a stimulus to floats; NaN/Inf has no quantizer code, so reject it."""
+    u = np.asarray(u, dtype=float)
+    if not np.isfinite(u).all():
+        raise ValueError("modulator stimulus must be finite "
+                         "(found NaN or Inf samples)")
+    return u
+
+
 class ErrorFeedbackSimulator:
     """Error-feedback simulation of a delta-sigma loop with unity STF.
 
@@ -146,23 +155,34 @@ class ErrorFeedbackSimulator:
         n = len(u)
         taps = self._feedback
         n_taps = len(taps)
-        errors = np.zeros(n_taps)
+        # Doubled ring buffer: each error is written at ``p`` and ``p + n_taps``,
+        # so ``ring[p:p + n_taps]`` is the newest-first error window — the same
+        # operands, in the same order, as a window shifted every sample.
+        ring = np.zeros(2 * n_taps)
+        p = 0
         output = np.empty(n)
         quantizer_input = np.empty(n)
         codes = np.empty(n, dtype=int)
         stable = True
-        limit = self.INSTABILITY_THRESHOLD * self.quantizer.full_scale
-        for i in range(n):
-            feedback = float(np.dot(taps, errors))
-            y = u[i] - feedback
-            v = self.quantizer.quantize(y)
-            e = v - y
-            errors = np.roll(errors, 1)
-            errors[0] = e
+        full_scale = self.quantizer.full_scale
+        step = self.quantizer.step
+        top_code = self.quantizer.levels - 1
+        limit = self.INSTABILITY_THRESHOLD * full_scale
+        for i, ui in enumerate(u.tolist()):
+            y = ui - float(np.dot(taps, ring[p:p + n_taps]))
+            # Inline scalar quantization (same rounding as MultibitQuantizer).
+            code = round((y + full_scale) / step)
+            if code < 0:
+                code = 0
+            elif code > top_code:
+                code = top_code
+            v = code * step - full_scale
+            p = p - 1 if p else n_taps - 1
+            ring[p] = ring[p + n_taps] = v - y
             output[i] = v
             quantizer_input[i] = y
-            codes[i] = self.quantizer.quantize_to_code(y)
-            if abs(y) > limit:
+            codes[i] = code
+            if y > limit or y < -limit:
                 stable = False
         return SimulationResult(
             output=output,
@@ -410,8 +430,10 @@ class DeltaSigmaModulator:
         ``engine`` selects the simulation backend: ``"error-feedback"``
         (reference), ``"error-feedback-fast"`` / ``"fast"`` (recursive loop
         filter, ~10× faster; used by the fast end-to-end SNR path) or
-        ``"state-space"`` (records internal state trajectories).
+        ``"state-space"`` (records internal state trajectories).  A
+        stimulus with NaN or Inf samples raises :class:`ValueError`.
         """
+        u = _finite_stimulus(u)
         if engine == "error-feedback":
             return self._simulator.simulate(u)
         if engine in ("error-feedback-fast", "fast"):
@@ -433,6 +455,7 @@ class DeltaSigmaModulator:
         if engine not in ("error-feedback-fast", "fast"):
             raise ValueError(
                 f"batched simulation requires the fast engine, got {engine!r}")
+        u = _finite_stimulus(u)
         if self._fast_simulator is None:
             self._fast_simulator = FastErrorFeedbackSimulator(self.ntf, self.quantizer)
         return self._fast_simulator.simulate_batch(u)
@@ -510,4 +533,4 @@ def simulate_dsm(u: np.ndarray, ntf: NoiseTransferFunction,
                  quantizer_bits: int = 4) -> SimulationResult:
     """Functional wrapper mirroring the Delta-Sigma Toolbox's ``simulateDSM``."""
     quantizer = MultibitQuantizer(bits=quantizer_bits)
-    return ErrorFeedbackSimulator(ntf, quantizer).simulate(u)
+    return ErrorFeedbackSimulator(ntf, quantizer).simulate(_finite_stimulus(u))

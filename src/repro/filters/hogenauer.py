@@ -22,9 +22,8 @@ Simulation backends
 Two engines produce bit-identical outputs:
 
 * ``backend="reference"`` — the original sample-by-sample simulation of the
-  register-transfer structure.  It is the gold model, it carries the
-  toggle-counting trace used by the switching-activity power estimation
-  (``collect_trace=True``), and it works for arbitrary register widths.
+  register-transfer structure.  It is the gold model and it works for
+  arbitrary register widths.
 * ``backend="vectorized"`` — a numpy fast path: the K integrators are K
   cumulative sums, the rate change is a strided slice, and the K combs are
   vectorized first differences.  All arithmetic runs in ``uint64`` (i.e.
@@ -32,13 +31,13 @@ Two engines produce bit-identical outputs:
   results stay congruent to the reference modulo ``2**width``, so the final
   wrap to the register width reproduces the wrap-around two's-complement
   hardware exactly.  Available for register widths up to 62 bits.
-* ``backend="auto"`` (default) — picks the vectorized engine whenever it is
-  applicable (width small enough, no trace requested) and falls back to the
-  reference otherwise.
+* ``backend="auto"`` (default) — picks the vectorized engine whenever the
+  register width allows it and falls back to the reference otherwise.
 
 Both engines share the streaming state (integrators, comb delays, phase), so
 blocks may be fed through different backends and still continue the same
-simulation.
+simulation.  Both also record the same per-node toggle counts for the
+switching-activity power estimation (``collect_trace=True``).
 """
 
 from __future__ import annotations
@@ -59,23 +58,17 @@ _MAX_INT64_WIDTH = 62
 _MASK64 = (1 << 64) - 1
 
 
-def _resolve_backend(backend: Optional[str], default: str, width: int,
-                     collect_trace: bool) -> str:
+def _resolve_backend(backend: Optional[str], default: str, width: int) -> str:
     """Resolve a backend request to a concrete engine name.
 
-    ``auto`` selects the vectorized engine when the register width permits
-    and no switching-activity trace was requested; an explicit
-    ``"vectorized"`` request raises when it cannot be honoured bit-true.
+    ``auto`` selects the vectorized engine when the register width permits;
+    an explicit ``"vectorized"`` request raises when it cannot be honoured
+    bit-true.
     """
     choice = backend or default
     if choice == "auto":
-        if collect_trace or width > _MAX_INT64_WIDTH:
-            return "reference"
-        return "vectorized"
+        return "reference" if width > _MAX_INT64_WIDTH else "vectorized"
     if choice == "vectorized":
-        if collect_trace:
-            raise ValueError("switching-activity tracing requires "
-                             "backend='reference' (the power model's path)")
         if width > _MAX_INT64_WIDTH:
             raise ValueError(
                 f"vectorized backend supports register widths up to "
@@ -120,27 +113,20 @@ class HogenauerTrace:
         return self.toggles.get(node, 0) / (self.samples * width)
 
 
-def _count_toggles(previous: np.ndarray, current: np.ndarray, width: int) -> int:
-    """Number of bit transitions between two equal-length integer vectors."""
-    previous = np.asarray(previous)
-    current = np.asarray(current)
-    if width <= _MAX_INT64_WIDTH and previous.dtype != object and current.dtype != object:
-        # int64 fast path: xor in native integers, popcount via unpackbits.
-        mask = np.int64((1 << width) - 1)
-        xor = (previous.astype(np.int64) ^ current.astype(np.int64)) & mask
-        as_bytes = xor.astype(np.uint64).view(np.uint8)
-        return int(np.unpackbits(as_bytes).sum())
-    mask = (1 << width) - 1
-    xor = (previous.astype(object) ^ current.astype(object)) & mask
-    return int(sum(bin(int(v)).count("1") for v in xor))
-
-
-def _toggle_count_series(values: np.ndarray, initial: int, width: int) -> int:
-    """Total bit transitions along a node's value sequence (initial → values)."""
+def _toggle_count_series(values, width: int) -> int:
+    """Total bit transitions along a node's value sequence (0 → values),
+    counting only the low ``width`` bits of each value."""
+    if width > _MAX_INT64_WIDTH:
+        mask = (1 << width) - 1
+        values = [int(v) for v in values]
+        return sum(bin((a ^ b) & mask).count("1")
+                   for a, b in zip([0] + values, values))
+    values = np.asarray(values)
     if len(values) == 0:
         return 0
-    previous = np.concatenate(([initial], values[:-1]))
-    return _count_toggles(previous, np.asarray(values), width)
+    previous = np.concatenate((np.zeros(1, dtype=values.dtype), values[:-1]))
+    xor = (previous ^ values) & np.array((1 << width) - 1, dtype=values.dtype)
+    return int(np.unpackbits(xor.view(np.uint8)).sum())
 
 
 class HogenauerDecimator:
@@ -201,9 +187,9 @@ class HogenauerDecimator:
             Integer input samples; values must fit in ``input_bits`` signed
             bits (they are wrapped otherwise, as real hardware would).
         collect_trace:
-            Record per-node toggle counts for the power model (slower;
-            forces the reference engine, which is the path the
-            switching-activity estimation is calibrated against).
+            Accumulate per-node toggle counts into :attr:`trace` for the
+            power model.  Both engines count the same toggles; each call
+            compares a node's first value against 0.
         backend:
             ``"auto"``, ``"reference"`` or ``"vectorized"``; ``None`` uses
             ``self.config.backend``.  Both engines are bit-exact and share
@@ -218,13 +204,26 @@ class HogenauerDecimator:
         if samples.dtype != object and not np.issubdtype(samples.dtype, np.integer):
             raise TypeError("HogenauerDecimator processes integer samples; "
                             "quantize the input first")
-        engine = _resolve_backend(backend, self.config.backend, self.width,
-                                  collect_trace)
-        if engine == "vectorized":
-            return self._process_vectorized(samples)
-        return self._process_reference(samples, collect_trace)
+        engine = _resolve_backend(backend, self.config.backend, self.width)
+        # Value sequences of integrators 0…K-1 then combs 0…K-1; nodes an
+        # early-returning engine never reached are empty.
+        nodes: Optional[list] = [] if collect_trace else None
+        run = (self._process_vectorized if engine == "vectorized"
+               else self._process_reference)
+        out = run(samples, nodes)
+        if collect_trace:
+            k = self.spec.order
+            nodes += [()] * (2 * k - len(nodes))
+            self.trace.samples += len(samples)
+            for i in range(k):
+                for node, values in ((f"integrator{i}", nodes[i]),
+                                     (f"comb{i}", nodes[k + i])):
+                    self.trace.toggles[node] = self.trace.toggles.get(node, 0) + \
+                        _toggle_count_series(values, self.width)
+        return out
 
-    def _process_reference(self, samples: np.ndarray, collect_trace: bool) -> np.ndarray:
+    def _process_reference(self, samples: np.ndarray,
+                           nodes: Optional[list]) -> np.ndarray:
         k = self.spec.order
         m = self.spec.decimation
         width = self.width
@@ -232,12 +231,8 @@ class HogenauerDecimator:
         integrators = self._integrators
         comb_delays = self._comb_delays
         phase = self._phase
-        # Node-value histories for the (vectorized) toggle counting; the
-        # per-node previous values reset to 0 at each call, matching the
-        # original per-call trace semantics.
-        node_history: Optional[List[List[int]]] = None
-        if collect_trace:
-            node_history = [[] for _ in range(2 * k)]
+        if nodes is not None:
+            nodes.extend([] for _ in range(2 * k))
 
         for raw in samples.tolist():
             value = wrap_twos_complement(int(raw), width)
@@ -247,8 +242,8 @@ class HogenauerDecimator:
             for i in range(k):
                 integrators[i] = wrap_twos_complement(integrators[i] + value, width)
                 value = integrators[i]
-                if collect_trace:
-                    node_history[i].append(value)
+                if nodes is not None:
+                    nodes[i].append(value)
             phase += 1
             if phase < m:
                 continue
@@ -260,32 +255,24 @@ class HogenauerDecimator:
                 new_value = wrap_twos_complement(diff_value - comb_delays[i], width)
                 comb_delays[i] = diff_value
                 diff_value = new_value
-                if collect_trace:
-                    node_history[k + i].append(diff_value)
+                if nodes is not None:
+                    nodes[k + i].append(diff_value)
             outputs.append(diff_value)
-
-        if collect_trace:
-            self.trace.samples += len(samples)
-            for i in range(k):
-                for node, history in ((f"integrator{i}", node_history[i]),
-                                      (f"comb{i}", node_history[k + i])):
-                    values = np.array(history, dtype=object if width > _MAX_INT64_WIDTH
-                                      else np.int64)
-                    self.trace.toggles[node] = self.trace.toggles.get(node, 0) + \
-                        _toggle_count_series(values, 0, width)
 
         self._integrators = integrators
         self._comb_delays = comb_delays
         self._phase = phase
         return np.array(outputs, dtype=object if width > _MAX_INT64_WIDTH else np.int64)
 
-    def _process_vectorized(self, samples: np.ndarray) -> np.ndarray:
+    def _process_vectorized(self, samples: np.ndarray,
+                            nodes: Optional[list]) -> np.ndarray:
         """Cumsum/strided-slice evaluation, bit-exact to the reference.
 
         All additions run modulo 2**64 in ``uint64``; since the reference
         only ever wraps (never saturates), every intermediate value is
         congruent modulo ``2**width`` and the single final wrap recovers the
-        exact register contents.
+        exact register contents.  The same congruence makes the node arrays
+        appended to ``nodes`` (when tracing) toggle like the reference's.
         """
         k = self.spec.order
         m = self.spec.decimation
@@ -306,6 +293,8 @@ class HogenauerDecimator:
             x = np.cumsum(x, dtype=np.uint64)
             x += np.uint64(self._integrators[i] & _MASK64)
             self._integrators[i] = wrap_twos_complement(int(x[-1]), width)
+            if nodes is not None:
+                nodes.append(x)
 
         # Rate change: the reference emits at samples where the running phase
         # counter reaches M.
@@ -323,6 +312,8 @@ class HogenauerDecimator:
             previous[1:] = dec[:-1]
             self._comb_delays[i] = wrap_twos_complement(int(dec[-1]), width)
             dec = dec - previous
+            if nodes is not None:
+                nodes.append(dec)
 
         # Single final wrap to the register width.
         modulus = 1 << width

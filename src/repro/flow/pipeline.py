@@ -153,8 +153,6 @@ def run_design_flow(spec: Optional[ChainSpec] = None,
     measure_activity:
         Measure Hogenauer toggle activity with the 5 MHz MSA stimulus for
         the power model (the paper's methodology) instead of using defaults.
-        Activity tracing always runs on the reference engine, which the
-        power model is calibrated against.
     backend:
         Bit-true chain engine for the SNR simulation (all engines are
         bit-exact; ``"auto"`` picks the vectorized fast path).

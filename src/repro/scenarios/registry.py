@@ -84,8 +84,8 @@ class Scenario:
     #: Whether the flow simulates the end-to-end SNR (adds the Table I
     #: bottom-row check to the verification mask).
     include_snr: bool = True
-    #: Whether the power model measures toggle activity (slow, reference
-    #: engine); scenarios default to the per-kind activity defaults.
+    #: Whether the power model measures toggle activity; scenarios default
+    #: to the per-kind activity defaults.
     measure_activity: bool = False
     #: Standard-cell library for the power/area estimates.
     library: str = "generic-45nm"

@@ -8,6 +8,8 @@ verify that the block-streaming simulator reproduces the one-shot simulation
 exactly for arbitrary block sizes.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -103,20 +105,31 @@ class TestHogenauerBackendEquivalence:
                  mixed.process(x[400:], backend="reference")]
         assert np.array_equal(one_shot, np.concatenate(parts))
 
-    def test_auto_uses_reference_when_tracing(self, rng):
-        spec = SincFilterSpec(order=4, decimation=2, input_bits=4,
-                              input_rate_hz=640e6)
+    @staticmethod
+    def _traced(spec, blocks, backend):
         dec = HogenauerDecimator(spec)
-        dec.process(rng.integers(-8, 8, 64), collect_trace=True, backend="auto")
-        assert dec.trace.samples == 64
+        for block in blocks:
+            dec.process(block, collect_trace=True, backend=backend)
+        return dec.trace
 
-    def test_explicit_vectorized_with_trace_rejected(self, rng):
+    def test_auto_trace_matches_reference(self, rng):
         spec = SincFilterSpec(order=4, decimation=2, input_bits=4,
                               input_rate_hz=640e6)
-        with pytest.raises(ValueError):
-            HogenauerDecimator(spec).process(rng.integers(-8, 8, 16),
-                                             collect_trace=True,
-                                             backend="vectorized")
+        blocks = [rng.integers(-8, 8, 64)]
+        auto = self._traced(spec, blocks, "auto")
+        ref = self._traced(spec, blocks, "reference")
+        assert auto.samples == 64
+        assert auto.toggles == ref.toggles
+
+    def test_vectorized_trace_matches_reference(self, rng):
+        spec = SincFilterSpec(order=4, decimation=2, input_bits=4,
+                              input_rate_hz=640e6)
+        blocks = [rng.integers(-8, 8, 16), rng.integers(-8, 8, 1),
+                  rng.integers(-8, 8, 0), rng.integers(-8, 8, 37)]
+        vec = self._traced(spec, blocks, "vectorized")
+        ref = self._traced(spec, blocks, "reference")
+        assert vec.samples == ref.samples == 54
+        assert list(vec.toggles.items()) == list(ref.toggles.items())
 
     def test_wide_registers_fall_back_to_reference(self, rng):
         # 40 + 4*6 = 64-bit registers exceed the int64 fast path.
@@ -232,12 +245,18 @@ class TestChainBackendEquivalence:
         vec = paper_chain.process_fixed(codes, backend="vectorized")
         assert np.array_equal(ref, vec)
 
-    def test_trace_collection_still_reference_backed(self, paper_chain, paper_codes):
-        paper_chain.process_fixed(paper_codes[:1024], collect_trace=True,
-                                  backend="vectorized")
-        stage = paper_chain._hogenauer_stages[0]
-        assert stage.trace.samples == 1024
-        assert any(v > 0 for v in stage.trace.toggles.values())
+    def test_trace_collection_identical_across_backends(self, paper_chain,
+                                                        paper_codes):
+        traces = {}
+        for backend in ("reference", "vectorized"):
+            paper_chain.process_fixed(paper_codes[:1024], collect_trace=True,
+                                      backend=backend)
+            traces[backend] = [(stage.trace.samples, stage.trace.toggles)
+                               for stage in paper_chain._hogenauer_stages]
+        assert traces["vectorized"] == traces["reference"]
+        samples, toggles = traces["vectorized"][0]
+        assert samples == 1024
+        assert any(v > 0 for v in toggles.values())
 
 
 class TestStreamingSimulation:
@@ -308,8 +327,8 @@ class TestFastModulatorEngine:
         from repro.dsm import MultibitQuantizer, synthesize_ntf
         from repro.dsm.modulator import FastErrorFeedbackSimulator
 
-        ntf = synthesize_ntf(3, 16, 1.5)
-        ntf.gain = 2.0
+        # A non-monic copy: synthesize_ntf results are shared (LRU-cached).
+        ntf = dataclasses.replace(synthesize_ntf(3, 16, 1.5), gain=2.0)
         with pytest.raises(ValueError):
             FastErrorFeedbackSimulator(ntf, MultibitQuantizer(4))
 

@@ -1,5 +1,7 @@
 """Tests for the delta-sigma modulator simulation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,8 +52,8 @@ class TestErrorFeedbackSimulator:
         assert outband > 100 * inband
 
     def test_requires_monic_ntf(self):
-        ntf = synthesize_ntf(3, 16, 1.5)
-        ntf.gain = 2.0  # make it non-monic
+        # A non-monic copy: synthesize_ntf results are shared (LRU-cached).
+        ntf = dataclasses.replace(synthesize_ntf(3, 16, 1.5), gain=2.0)
         with pytest.raises(ValueError):
             ErrorFeedbackSimulator(ntf, MultibitQuantizer(4))
 
@@ -122,3 +124,35 @@ class TestDeltaSigmaModulator:
         result = simulate_dsm(tone, paper_ntf, quantizer_bits=4)
         assert result.n_samples == 1024
         assert result.codes.dtype.kind == "i"
+
+
+class TestNonFiniteStimulus:
+    """NaN/Inf stimuli are rejected where the modulator accepts ``u``."""
+
+    @staticmethod
+    def _poisoned(bad):
+        u = 0.5 * np.sin(np.arange(64) * 0.1)
+        u[17] = bad
+        return u
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("engine", ["error-feedback", "fast",
+                                        "error-feedback-fast", "state-space"])
+    def test_simulate_rejects(self, paper_modulator, engine, bad):
+        with pytest.raises(ValueError, match="stimulus must be finite"):
+            paper_modulator.simulate(self._poisoned(bad), engine=engine)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_simulate_batch_rejects(self, paper_modulator, bad):
+        batch = np.stack([self._poisoned(0.0), self._poisoned(bad)])
+        with pytest.raises(ValueError, match="stimulus must be finite"):
+            paper_modulator.simulate_batch(batch)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_simulate_dsm_rejects(self, paper_ntf, bad):
+        with pytest.raises(ValueError, match="stimulus must be finite"):
+            simulate_dsm(self._poisoned(bad), paper_ntf)
+
+    def test_finite_stimulus_still_accepted(self, paper_modulator):
+        result = paper_modulator.simulate([0.0, 0.25, -0.25])
+        assert result.n_samples == 3 and result.stable

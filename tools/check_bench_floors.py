@@ -47,6 +47,12 @@ FLOORS = {
         ("65536-sample SNR simulation finishes within 60 s",
          lambda r: r["elapsed_s"] <= 60.0),
     ],
+    "activity": [
+        ("vectorized toggle traces equal the reference engine's",
+         lambda r: r["toggles_match_reference"] is True),
+        ("activity path costs at most half the flow without it",
+         lambda r: r["activity_s"] <= 0.5 * r["flow_no_activity_s"]),
+    ],
     "robustness_yield": [
         ("batched hot path is bit-exact to the per-sample loop",
          lambda r: r["snr_match"] is True),
