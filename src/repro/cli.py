@@ -713,16 +713,20 @@ def _cmd_sweep(args: argparse.Namespace, io: CommandIO) -> int:
     for entry in args.sinc_orders:
         splits.append("auto" if entry == "auto" else _parse_split(entry))
     spec = _load_spec(args)
-    sweep = SweepSpec(
-        base=spec,
-        options=_load_options(args, spec),
-        osr=tuple(args.osr),
-        bandwidth_hz=tuple(args.bandwidth_hz),
-        sinc_orders=tuple(splits),
-        output_bits=tuple(args.output_bits),
-        halfband_attenuation_db=tuple(args.halfband_att),
-        halfband_coefficient_bits=tuple(args.halfband_coeff_bits),
-    )
+    options = _load_options(args, spec)
+    try:
+        sweep = SweepSpec(
+            base=spec,
+            options=options,
+            osr=tuple(args.osr),
+            bandwidth_hz=tuple(args.bandwidth_hz),
+            sinc_orders=tuple(splits),
+            output_bits=tuple(args.output_bits),
+            halfband_attenuation_db=tuple(args.halfband_att),
+            halfband_coefficient_bits=tuple(args.halfband_coeff_bits),
+        )
+    except ValueError as exc:
+        raise CLIError(str(exc))
     progress = None if args.quiet else io.err
     result = run_sweep(
         sweep,

@@ -9,7 +9,7 @@ unity STF) and use it to generate bit-streams, estimate the maximum stable
 amplitude (MSA) and measure SQNR.  The substitution is documented in
 DESIGN.md.
 
-Three simulation engines are provided:
+Two simulation engines are provided:
 
 * :class:`ErrorFeedbackSimulator` — simulates the loop in error-feedback
   form (``y = u - h * e`` with ``h`` the impulse response of ``1 - NTF``).
@@ -25,10 +25,6 @@ Three simulation engines are provided:
   sensitive to rounding, its bit-stream is not sample-identical to the FIR
   engine's; the noise-shaping statistics (SQNR, spectra, MSA) agree, which
   the tests verify.
-* :class:`StateSpaceSimulator` — simulates the loop filter
-  ``L1(z) = 1/NTF(z) - 1`` as a direct-form state space, providing access to
-  internal state trajectories (used for MSA/stability analysis, mirroring
-  the role of the Active-RC integrator outputs in Fig. 3).
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import signal
 
 from repro.dsm.ntf import NoiseTransferFunction, synthesize_ntf
 from repro.dsm.quantizer import MultibitQuantizer
@@ -322,62 +317,6 @@ class FastErrorFeedbackSimulator:
         )
 
 
-class StateSpaceSimulator:
-    """State-space simulation of the loop filter ``L1(z) = 1/NTF - 1``.
-
-    The loop filter is realized in controllable canonical form; its states
-    play the role of the Active-RC integrator outputs.  The simulator
-    reports the state trajectory so stability (bounded states) can be
-    checked directly, which is how the MSA estimate is produced.
-    """
-
-    INSTABILITY_THRESHOLD = 8.0
-
-    def __init__(self, ntf: NoiseTransferFunction, quantizer: MultibitQuantizer) -> None:
-        self.ntf = ntf
-        self.quantizer = quantizer
-        b_ntf, a_ntf = ntf.as_tf()
-        # The error-shaping filter G(z) = 1 - NTF(z) = (a - b)/a is strictly
-        # proper (the NTF is monic), so the state space below is strictly
-        # causal: the quantizer input depends only on past errors.
-        num = np.polysub(a_ntf, b_ntf)
-        den = a_ntf
-        self._A, self._B, self._C, self._D = signal.tf2ss(num, den)
-
-    def simulate(self, u: np.ndarray) -> SimulationResult:
-        """Run the state-space loop on the input sequence ``u`` (values within ±1)."""
-        u = np.asarray(u, dtype=float)
-        n = len(u)
-        A, B, C = self._A, self._B, self._C
-        x = np.zeros(A.shape[0])
-        output = np.empty(n)
-        quantizer_input = np.empty(n)
-        codes = np.empty(n, dtype=int)
-        states = np.empty((n, len(x)))
-        stable = True
-        limit = self.INSTABILITY_THRESHOLD * self.quantizer.full_scale
-        for i in range(n):
-            # y[n] = u[n] - G(z){e}[n];   e[n] = v[n] - y[n]
-            loop_out = float(np.dot(C, x).item())
-            y = u[i] - loop_out
-            v = self.quantizer.quantize(y)
-            e = v - y
-            x = A @ x + B.flatten() * e
-            output[i] = v
-            quantizer_input[i] = y
-            codes[i] = self.quantizer.quantize_to_code(y)
-            states[i] = x
-            if abs(y) > limit:
-                stable = False
-        return SimulationResult(
-            output=output,
-            codes=codes,
-            quantizer_input=quantizer_input,
-            stable=stable,
-            metadata={"engine": "state-space", "states": states},
-        )
-
-
 @dataclass
 class DeltaSigmaModulator:
     """The paper's delta-sigma modulator model.
@@ -429,8 +368,7 @@ class DeltaSigmaModulator:
 
         ``engine`` selects the simulation backend: ``"error-feedback"``
         (reference), ``"error-feedback-fast"`` / ``"fast"`` (recursive loop
-        filter, ~10× faster; used by the fast end-to-end SNR path) or
-        ``"state-space"`` (records internal state trajectories).  A
+        filter, ~10× faster; used by the fast end-to-end SNR path).  A
         stimulus with NaN or Inf samples raises :class:`ValueError`.
         """
         u = _finite_stimulus(u)
@@ -440,8 +378,6 @@ class DeltaSigmaModulator:
             if self._fast_simulator is None:
                 self._fast_simulator = FastErrorFeedbackSimulator(self.ntf, self.quantizer)
             return self._fast_simulator.simulate(u)
-        if engine == "state-space":
-            return StateSpaceSimulator(self.ntf, self.quantizer).simulate(u)
         raise ValueError(f"unknown simulation engine {engine!r}")
 
     def simulate_batch(self, u: np.ndarray,

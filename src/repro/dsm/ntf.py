@@ -100,10 +100,6 @@ class NoiseTransferFunction:
     # ------------------------------------------------------------------
     # Conversions
     # ------------------------------------------------------------------
-    def as_zpk(self) -> Tuple[np.ndarray, np.ndarray, float]:
-        """The NTF as a ``(zeros, poles, gain)`` tuple (copies, scipy layout)."""
-        return self.zeros.copy(), self.poles.copy(), self.gain
-
     def as_tf(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(b, a)`` polynomial coefficients of the NTF."""
         b, a = signal.zpk2tf(self.zeros, self.poles, self.gain)

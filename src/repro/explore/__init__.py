@@ -8,9 +8,8 @@ call; this package turns that into a batch explorer:
   deterministic :class:`~repro.explore.sweep.SweepPoint` lists.
 * :func:`~repro.explore.runner.run_sweep` — parallel batch execution via
   ``concurrent.futures`` over the content-addressed on-disk store
-  (:class:`~repro.explore.store.ArtifactCAS`; ``SweepCache`` is the
-  compatibility name), with grid resume (``resume=``) and deterministic
-  cross-host sharding (``shard=(i, n)`` + ``merge_shard_reports``).
+  (:class:`~repro.explore.store.ArtifactCAS`), with grid resume
+  (``resume=``) and deterministic cross-host sharding (``shard=(i, n)`` + ``merge_shard_reports``).
 * :mod:`~repro.explore.transfer` — key-diff'd record exchange between any
   two stores (local directory, in-memory or S3-style object store — see
   :func:`~repro.explore.store.open_store`), behind ``repro cache
@@ -29,8 +28,8 @@ Quickstart::
     print(sweep_report_markdown(result))
 """
 
-from repro.explore.cache import CACHE_SCHEMA_VERSION, SweepCache
 from repro.explore.store import (
+    CACHE_SCHEMA_VERSION,
     MAX_VALIDATE_BYTES,
     SHARD_PREFIX_LEN,
     TMP_GRACE_S,
@@ -92,7 +91,6 @@ __all__ = [
     "SHARD_PREFIX_LEN",
     "SHARD_REPORT_SCHEMA",
     "SWEEP_AXES",
-    "SweepCache",
     "TMP_GRACE_S",
     "SweepPoint",
     "SweepPointResult",

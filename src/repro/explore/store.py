@@ -12,8 +12,9 @@ Layout and concurrency contract
 * **Two-level sharded layout** — entry ``<key>`` lives at
   ``<root>/<key[:2]>/<key[2:]>.json`` (256 shard directories), so even
   million-entry stores keep every directory small enough to list cheaply.
-  Flat pre-shard layouts (``<root>/<key>.json``) remain readable and are
-  transparently migrated into the sharded layout on first hit.
+  A root-level ``<root>/<stem>.json`` is an entry only for degenerate keys
+  no longer than the shard prefix; a pre-shard flat ``<root>/<key>.json``
+  is not an entry at all — it misses, counts as stale and is pruned.
 * **Concurrent-writer safety** — :meth:`put` writes to a per-writer unique
   temp name (pid + per-process counter) in the entry's shard directory and
   publishes with one atomic ``os.replace``.  Readers never lock: a reader
@@ -88,7 +89,7 @@ __all__ = [
 #: recurrence (last-ulp different from the old ``pow`` evaluation), which
 #: can steer the CSD refinement to different coefficients.  The PR-6 move
 #: to the sharded CAS layout did **not** bump the version: record content
-#: is unchanged and flat-layout entries stay readable.
+#: is unchanged, only its location moved (pre-shard flat entries miss).
 CACHE_SCHEMA_VERSION = 2
 
 #: Hex characters of the key that name the shard directory (two levels of
@@ -124,9 +125,9 @@ class LocalDirBackend:
     probe) leaves the filesystem untouched.
     """
 
-    #: Entries are plain files addressable with :meth:`path` — enables the
-    #: flat legacy layout and direct-file test hooks.  Object-store
-    #: backends set this ``False``.
+    #: Entries are plain files addressable with :meth:`path` — enables
+    #: :meth:`ArtifactCAS.path_for` and direct-file test hooks.
+    #: Object-store backends set this ``False``.
     has_local_paths = True
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -387,8 +388,8 @@ class ObjectStoreBackend:
     grid diffs cost O(pages) round trips regardless of grid size.
     """
 
-    #: Blobs are not files: no :meth:`LocalDirBackend.path`, no legacy
-    #: flat-layout migration, no direct-file hooks.
+    #: Blobs are not files: no :meth:`LocalDirBackend.path`, no
+    #: direct-file hooks.
     has_local_paths = False
 
     def __init__(self, client, prefix: str = "", label: Optional[str] = None,
@@ -628,8 +629,7 @@ class ArtifactCAS:
     Attributes
     ----------
     hits, misses:
-        In-process read telemetry, matching the historical ``SweepCache``
-        counters.
+        In-process read telemetry.
     """
 
     def __init__(self, directory: Union[str, Path, None] = None,
@@ -639,8 +639,6 @@ class ArtifactCAS:
                 raise ValueError("ArtifactCAS needs a directory or a backend")
             backend = LocalDirBackend(directory)
         self.backend = backend
-        # Legacy flat-layout reads/migration need real files; keyed-blob
-        # backends never held a flat layout, so they skip those probes.
         self._local = getattr(backend, "has_local_paths", True)
         self._backend_kind = "local-dir" if self._local else "object-store"
         self.hits = 0
@@ -664,14 +662,10 @@ class ArtifactCAS:
         return f"{key[:SHARD_PREFIX_LEN]}/{key[SHARD_PREFIX_LEN:]}.json"
 
     @staticmethod
-    def _legacy_rel_for(key: str) -> str:
-        """Flat pre-shard store-relative file name of ``key``."""
-        return f"{key}.json"
-
-    @staticmethod
     def key_of(rel: str) -> Optional[str]:
         """Key encoded by a store-relative entry name (``None`` for temp
-        files and anything else that is not a record)."""
+        files, pre-shard flat entries and anything else that is not a
+        record)."""
         if not rel.endswith(".json"):
             return None
         stem = rel[:-len(".json")]
@@ -680,7 +674,7 @@ class ArtifactCAS:
             if len(prefix) != SHARD_PREFIX_LEN or "/" in rest:
                 return None
             return prefix + rest
-        return stem
+        return stem if len(stem) <= SHARD_PREFIX_LEN else None
 
     def path_for(self, key: str) -> Path:
         """Path of the (sharded) entry for ``key``, whether or not it
@@ -698,15 +692,13 @@ class ArtifactCAS:
     # Read / write
     # ------------------------------------------------------------------
     def contains(self, key: str) -> bool:
-        """Whether an entry (sharded or legacy flat) exists for ``key``.
+        """Whether an entry exists for ``key``.
 
         Pure existence probe — no read, no validation, no counter update —
         which is what keeps :meth:`diff` index-free and cheap on shared
         mounts.
         """
-        if self.backend.exists(self._rel_for(key)):
-            return True
-        return self._local and self.backend.exists(self._legacy_rel_for(key))
+        return self.backend.exists(self._rel_for(key))
 
     def __contains__(self, key: str) -> bool:
         return self.contains(key)
@@ -715,16 +707,10 @@ class ArtifactCAS:
         """Load a record, or ``None`` on a miss.
 
         Corrupt, truncated or schema-mismatched entries count as misses
-        (and will be overwritten by the next :meth:`put`).  A hit on a
-        legacy flat-layout entry transparently migrates the file into the
-        sharded layout (atomic rename; concurrent migrators are benign).
+        (and will be overwritten by the next :meth:`put`).
         """
         with trace.span("cas.get", backend=self._backend_kind) as span:
             record, nbytes = self._load(self._rel_for(key))
-            if record is None and self._local:
-                record, nbytes = self._load(self._legacy_rel_for(key))
-                if record is not None:
-                    self._migrate(key)
             if record is None:
                 self.misses += 1
                 span.set(hit=False)
@@ -745,16 +731,6 @@ class ArtifactCAS:
             return None, 0
         return entry.get("record"), len(data)
 
-    def _migrate(self, key: str) -> None:
-        """Move a legacy flat entry into the sharded layout (best effort)."""
-        legacy = self.backend.path(self._legacy_rel_for(key))
-        target = self.backend.path(self._rel_for(key))
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(legacy, target)
-        except OSError:
-            pass  # another migrator won the (identical-bytes) race
-
     def put(self, key: str, record: dict) -> None:
         """Publish a record atomically (unique temp name + rename).
 
@@ -764,29 +740,19 @@ class ArtifactCAS:
         """
         entry = {"schema": CACHE_SCHEMA_VERSION, "key": key, "record": record}
         data = json.dumps(entry, sort_keys=True).encode("utf-8")
-        rel = self._rel_for(key)
         with trace.span("cas.put", backend=self._backend_kind,
                         bytes=len(data)):
-            self.backend.write_bytes_atomic(rel, data)
-            # A published sharded entry supersedes any legacy flat twin.
-            legacy = self._legacy_rel_for(key)
-            if self._local and legacy != rel:
-                self.backend.delete(legacy)
+            self.backend.write_bytes_atomic(self._rel_for(key), data)
 
     def get_raw(self, key: str) -> Optional[bytes]:
-        """Published entry bytes for ``key`` (sharded, then legacy flat),
-        or ``None`` — the verbatim-transfer read used by
+        """Published entry bytes for ``key``, or ``None`` — the
+        verbatim-transfer read used by
         :func:`repro.explore.transfer.transfer_records` so copies are
         byte-identical by construction."""
-        rels = [self._rel_for(key)]
-        if self._local:
-            rels.append(self._legacy_rel_for(key))
-        for rel in rels:
-            try:
-                return self.backend.read_bytes(rel)
-            except OSError:
-                continue
-        return None
+        try:
+            return self.backend.read_bytes(self._rel_for(key))
+        except OSError:
+            return None
 
     def put_raw(self, key: str, data: bytes) -> None:
         """Publish raw entry bytes verbatim under ``key``'s sharded name
@@ -794,10 +760,8 @@ class ArtifactCAS:
         self.backend.write_bytes_atomic(self._rel_for(key), data)
 
     def delete(self, key: str) -> bool:
-        """Remove an entry (both layouts); ``True`` when one existed."""
-        sharded = self.backend.delete(self._rel_for(key))
-        legacy = self._local and self.backend.delete(self._legacy_rel_for(key))
-        return sharded or legacy
+        """Remove an entry; ``True`` when one existed."""
+        return self.backend.delete(self._rel_for(key))
 
     # ------------------------------------------------------------------
     # Grid diffing
@@ -810,8 +774,7 @@ class ArtifactCAS:
         stores — so probing a whole grid costs O(directories) or
         O(pages) round trips, never one per key.  Equivalent to
         ``{k: contains(k) for k in keys}`` (the property tests pin the
-        equivalence), including the legacy flat layout on directory
-        backends, which is probed in a second batch for the misses only.
+        equivalence).
         """
         keys = list(keys)
         with trace.span("cas.probe_many", backend=self._backend_kind,
@@ -819,13 +782,6 @@ class ArtifactCAS:
             rels = {key: self._rel_for(key) for key in keys}
             hit = self.backend.probe_many(list(set(rels.values())))
             present = {key: hit[rels[key]] for key in keys}
-            if self._local:
-                missing = [key for key in keys if not present[key]]
-                if missing:
-                    legacy = {key: self._legacy_rel_for(key) for key in missing}
-                    hit = self.backend.probe_many(list(set(legacy.values())))
-                    for key in missing:
-                        present[key] = hit[legacy[key]]
             span.set(n_present=sum(1 for v in present.values() if v))
             return present
 
@@ -866,9 +822,10 @@ class ArtifactCAS:
         """Summary of the on-disk store in one scan pass.
 
         ``stale_entries`` counts files that are corrupt, oversized (above
-        ``size_guard``) or carry a schema version other than
-        :data:`CACHE_SCHEMA_VERSION`; ``tmp_files``/``tmp_bytes`` count
-        orphaned temp files left by killed writers.  Both populations
+        ``size_guard``), carry a schema version other than
+        :data:`CACHE_SCHEMA_VERSION` or sit at no entry name (such as
+        pre-shard flat ``<key>.json`` files); ``tmp_files``/``tmp_bytes``
+        count orphaned temp files left by killed writers.  Both populations
         always miss and are reclaimable with :meth:`prune`.
         """
         entries = 0
@@ -944,27 +901,13 @@ class ArtifactCAS:
         return removed
 
     def keys(self) -> List[str]:
-        """Every stored key (both layouts), sorted."""
+        """Every stored key, sorted."""
         found = set()
         for rel, _stat in self.backend.scan():
             key = self.key_of(rel)
             if key is not None:
                 found.add(key)
         return sorted(found)
-
-    def _is_stale(self, path: Path) -> bool:
-        """Whether one entry file is corrupt, oversized or schema-mismatched
-        (compatibility hook for the historical ``SweepCache`` API)."""
-        try:
-            rel = str(Path(path).relative_to(self.directory))
-        except ValueError:
-            rel = Path(path).name
-        try:
-            stat = Path(path).stat()
-        except OSError:
-            return True
-        return self._classify(rel.replace(os.sep, "/"), stat,
-                              MAX_VALIDATE_BYTES) != "entry"
 
     def __len__(self) -> int:
         return sum(1 for rel, _stat in self.backend.scan()

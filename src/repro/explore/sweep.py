@@ -13,6 +13,7 @@ ready for :func:`repro.flow.run_design_flow` — the batch runner in
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -104,6 +105,9 @@ class SweepSpec:
         target (requirement + :data:`HALFBAND_DESIGN_MARGIN_DB`).
     halfband_coefficient_bits:
         Halfband coefficient word widths.
+
+    Bandwidths and attenuations must be finite and positive, the integer
+    axes at least 1; anything else raises :class:`ValueError`.
     """
 
     base: ChainSpec = field(default_factory=paper_chain_spec)
@@ -127,6 +131,15 @@ class SweepSpec:
                            tuple(float(v) for v in self.halfband_attenuation_db))
         object.__setattr__(self, "halfband_coefficient_bits",
                            tuple(int(v) for v in self.halfband_coefficient_bits))
+        for name in ("bandwidth_hz", "halfband_attenuation_db"):
+            for value in getattr(self, name):
+                if not (math.isfinite(value) and value > 0):
+                    raise ValueError(f"{name} values must be finite and > 0, "
+                                     f"got {value}")
+        for name in ("osr", "output_bits", "halfband_coefficient_bits"):
+            for value in getattr(self, name):
+                if value < 1:
+                    raise ValueError(f"{name} values must be >= 1, got {value}")
 
     @staticmethod
     def _normalize_split(value: Union[Sequence[int], str]) -> Union[Tuple[int, ...], str]:

@@ -185,13 +185,6 @@ class SaramakiHalfband:
         return len(self.f2)
 
     @property
-    def subfilter_order(self) -> int:
-        """Order of one F2 sub-filter (``2·(2·n2 − 1)`` would be its length -1
-        when written with explicit zero taps; the odd-tap kernel spans
-        ``2·n2 − 1`` input samples on each side)."""
-        return 2 * (2 * self.n2 - 1)
-
-    @property
     def equivalent_order(self) -> int:
         """Order of the single-FIR equivalent of the whole tapped cascade."""
         return (2 * self.n1 - 1) * (2 * self.n2 - 1) * 2

@@ -141,14 +141,6 @@ class FixedPointFormat:
         """Value of one LSB."""
         return 1.0 / self.scale
 
-    def with_overflow(self, overflow: OverflowMode) -> "FixedPointFormat":
-        """Copy of this format with a different overflow mode."""
-        return FixedPointFormat(self.total_bits, self.fraction_bits, overflow, self.rounding)
-
-    def with_rounding(self, rounding: RoundingMode) -> "FixedPointFormat":
-        """Copy of this format with a different rounding mode."""
-        return FixedPointFormat(self.total_bits, self.fraction_bits, self.overflow, rounding)
-
     def widened(self, extra_bits: int) -> "FixedPointFormat":
         """Return the same format with ``extra_bits`` more total bits."""
         return FixedPointFormat(

@@ -193,7 +193,6 @@ def warm_flow_artifacts(spec: Optional[ChainSpec],
                         artifacts: ArtifactStore,
                         include_snr_simulation: bool = False,
                         snr_samples: int = 32768,
-                        modulator_engine: str = "fast",
                         snr_tone_hz: Optional[float] = None,
                         snr_amplitude: Optional[float] = None) -> None:
     """Pre-compute the shareable stages of :func:`run_design_flow`.
@@ -215,4 +214,4 @@ def warm_flow_artifacts(spec: Optional[ChainSpec],
         exact_tone_hz, amplitude, total, _ = snr_stimulus_parameters(
             chain, snr_samples, tone_hz=snr_tone_hz, amplitude=snr_amplitude)
         modulator_tone_codes(spec.modulator, exact_tone_hz, amplitude, total,
-                             engine=modulator_engine, artifacts=artifacts)
+                             artifacts=artifacts)

@@ -112,7 +112,7 @@ class Scenario:
         library/backend/SNR keys), extended with the scenario's explicit
         stimulus so the on-disk cache key covers it.
         """
-        from repro.explore.cache import CACHE_SCHEMA_VERSION
+        from repro.explore.store import CACHE_SCHEMA_VERSION
 
         tone = self.stimulus
         return {

@@ -1,5 +1,6 @@
 """Smoke tests for the ``python -m repro`` command-line interface."""
 
+import io
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from repro.cli import run_command
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -399,6 +402,18 @@ class TestArgumentValidation:
         assert proc.returncode == 2
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-5", "0"])
+    @pytest.mark.parametrize("flag", ["--bandwidth-hz", "--halfband-att"])
+    def test_bad_sweep_axis_values_are_clean_errors(self, flag, value):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        code = run_command(["sweep", f"{flag}={value}", "--quiet"],
+                           stdout=stdout, stderr=stderr)
+        assert code == 2
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "must be finite and > 0" in lines[0]
+        assert "Traceback" not in stderr.getvalue()
 
     def test_unknown_executor_is_an_argparse_error(self):
         proc = run_cli("sweep", "--executor", "bogus", "--output-bits", "12",

@@ -9,7 +9,6 @@ from repro.dsm import (
     DeltaSigmaModulator,
     ErrorFeedbackSimulator,
     MultibitQuantizer,
-    StateSpaceSimulator,
     analyze_tone,
     coherent_tone,
     simulate_dsm,
@@ -73,29 +72,6 @@ class TestErrorFeedbackSimulator:
         assert (not result.stable) or saturating > 0.1
 
 
-class TestStateSpaceSimulator:
-    def test_matches_error_feedback_engine(self, paper_ntf):
-        quantizer = MultibitQuantizer(4)
-        n = 8192
-        tone = coherent_tone(2e6, 0.5, 640e6, n)
-        ef = ErrorFeedbackSimulator(paper_ntf, quantizer).simulate(tone)
-        ss = StateSpaceSimulator(paper_ntf, quantizer).simulate(tone)
-        # Both engines realize the same NTF/STF.  The error-feedback engine
-        # truncates the feedback impulse response, so individual quantizer
-        # decisions eventually diverge (the loop is chaotic), but the initial
-        # samples match exactly and the noise-shaping statistics agree.
-        assert np.array_equal(ef.output[:100], ss.output[:100])
-        snr_ef = analyze_tone(ef.output, 640e6, 2e6, 20e6).snr_db
-        snr_ss = analyze_tone(ss.output, 640e6, 2e6, 20e6).snr_db
-        assert snr_ef == pytest.approx(snr_ss, abs=4.0)
-        assert ef.stable and ss.stable
-
-    def test_states_are_recorded(self, paper_ntf):
-        sim = StateSpaceSimulator(paper_ntf, MultibitQuantizer(4))
-        result = sim.simulate(np.zeros(128))
-        assert result.metadata["states"].shape == (128, 5)
-
-
 class TestDeltaSigmaModulator:
     def test_derived_rates(self, paper_modulator):
         assert paper_modulator.signal_bandwidth_hz == pytest.approx(20e6)
@@ -137,7 +113,7 @@ class TestNonFiniteStimulus:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("engine", ["error-feedback", "fast",
-                                        "error-feedback-fast", "state-space"])
+                                        "error-feedback-fast"])
     def test_simulate_rejects(self, paper_modulator, engine, bad):
         with pytest.raises(ValueError, match="stimulus must be finite"):
             paper_modulator.simulate(self._poisoned(bad), engine=engine)

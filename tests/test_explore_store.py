@@ -1,7 +1,7 @@
 """Tests for the content-addressed artifact store (repro.explore.store).
 
-Covers the sharded key layout, the index-free grid diff, flat-layout
-migration, the schema-version contract, writer temp-file hygiene and the
+Covers the sharded key layout, the index-free grid diff, what becomes of
+pre-shard flat entries, the schema-version contract, writer temp-file hygiene and the
 single-pass ``stats``/``prune`` maintenance path — plus property-based
 (hypothesis) pinning of the layout round-trip and the diff partition
 contract.
@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.explore import SweepCache
 from repro.explore.runner import shard_points
 from repro.explore.store import (
     CACHE_SCHEMA_VERSION,
@@ -57,7 +56,8 @@ class TestShardedLayout:
     def test_key_of_inverts_rel_for(self):
         assert ArtifactCAS.key_of(ArtifactCAS._rel_for(KEY)) == KEY
         assert ArtifactCAS.key_of("ab/cd.json") == "abcd"
-        assert ArtifactCAS.key_of("flat.json") == "flat"
+        assert ArtifactCAS.key_of("ab.json") == "ab"  # short keys stay flat
+        assert ArtifactCAS.key_of(f"{KEY}.json") is None  # pre-shard entry
         assert ArtifactCAS.key_of("ab/cd.tmp") is None
         assert ArtifactCAS.key_of("a/b/c.json") is None
 
@@ -75,6 +75,35 @@ class TestShardedLayout:
             ArtifactCAS()
 
 
+class TestReadWrite:
+    def test_miss_on_empty_cache(self, tmp_path):
+        cas = ArtifactCAS(tmp_path / "cache")
+        assert cas.get("deadbeef") is None
+        assert cas.misses == 1
+        assert cas.hits == 0
+
+    def test_put_then_get_roundtrip(self, tmp_path):
+        cas = ArtifactCAS(tmp_path)
+        record = {"summary": {"total_power_mw": 8.97}, "gate_count": 70664}
+        cas.put("abc123", record)
+        assert cas.get("abc123") == record
+        assert cas.hits == 1
+        assert cas.misses == 0
+
+    def test_creates_directory_lazily_on_first_write(self, tmp_path):
+        target = tmp_path / "nested" / "cache"
+        cas = ArtifactCAS(target)
+        assert not target.exists()  # opening a store has no side effects
+        cas.put("abc123", {"x": 1})
+        assert target.is_dir()
+
+    def test_put_overwrites(self, tmp_path):
+        cas = ArtifactCAS(tmp_path)
+        cas.put("k", {"v": 1})
+        cas.put("k", {"v": 2})
+        assert cas.get("k") == {"v": 2}
+
+
 class TestDiff:
     def test_diff_reports_missing_in_input_order(self, tmp_path):
         cas = ArtifactCAS(tmp_path)
@@ -82,13 +111,6 @@ class TestDiff:
         for key in keys[::2]:
             cas.put(key, {"k": key})
         assert cas.diff(keys) == keys[1::2]
-
-    def test_diff_sees_legacy_flat_entries(self, tmp_path):
-        cas = ArtifactCAS(tmp_path)
-        entry = {"schema": CACHE_SCHEMA_VERSION, "key": KEY, "record": {"v": 9}}
-        (tmp_path / f"{KEY}.json").write_text(json.dumps(entry))
-        assert cas.diff([KEY]) == []
-        assert KEY in cas
 
     def test_diff_is_existence_only(self, tmp_path):
         """diff never reads or validates: a corrupt entry still counts as
@@ -100,40 +122,31 @@ class TestDiff:
 
 
 class TestLegacyMigration:
+    """Pre-shard flat entries are left behind, not migrated."""
+
     def _write_flat(self, tmp_path, key, record):
         entry = {"schema": CACHE_SCHEMA_VERSION, "key": key, "record": record}
         (tmp_path / f"{key}.json").write_text(json.dumps(entry, sort_keys=True))
 
-    def test_flat_entry_hits_identically(self, tmp_path):
+    def test_flat_entry_misses_and_is_pruned(self, tmp_path):
+        """Entries are never migrated: a pre-shard flat ``<key>.json``
+        misses, reads as absent to ``diff``/``probe_many``, counts as
+        stale and is pruned.  Keys no longer than the shard prefix still
+        round-trip at the root."""
         self._write_flat(tmp_path, KEY, {"legacy": True})
         cas = ArtifactCAS(tmp_path)
-        assert cas.get(KEY) == {"legacy": True}
-        assert cas.hits == 1 and cas.misses == 0
-
-    def test_flat_entry_migrates_to_sharded_layout_on_hit(self, tmp_path):
-        self._write_flat(tmp_path, KEY, {"legacy": True})
-        cas = ArtifactCAS(tmp_path)
-        cas.get(KEY)
+        cas.put("ab", {"short": True})
+        assert (tmp_path / "ab.json").is_file()
+        assert cas.get(KEY) is None and cas.misses == 1
+        assert KEY not in cas
+        assert cas.probe_many([KEY, "ab"]) == {KEY: False, "ab": True}
+        assert cas.diff([KEY, "ab"]) == [KEY]
+        assert cas.keys() == ["ab"] and len(cas) == 1
+        stats = cas.stats()
+        assert stats["entries"] == 2 and stats["stale_entries"] == 1
+        assert cas.prune() == 1
         assert not (tmp_path / f"{KEY}.json").exists()
-        sharded = tmp_path / KEY[:2] / f"{KEY[2:]}.json"
-        assert sharded.is_file()
-        # Still a hit after migration, through a fresh handle too.
-        assert ArtifactCAS(tmp_path).get(KEY) == {"legacy": True}
-
-    def test_sweepcache_reads_pre_cas_directory(self, tmp_path):
-        """The historical SweepCache API keeps working over old layouts."""
-        self._write_flat(tmp_path, KEY, {"r": 1})
-        cache = SweepCache(tmp_path)
-        assert cache.get(KEY) == {"r": 1}
-        assert isinstance(cache, ArtifactCAS)
-
-    def test_put_supersedes_legacy_twin(self, tmp_path):
-        self._write_flat(tmp_path, KEY, {"old": 1})
-        cas = ArtifactCAS(tmp_path)
-        cas.put(KEY, {"new": 2})
-        assert not (tmp_path / f"{KEY}.json").exists()
-        assert cas.get(KEY) == {"new": 2}
-        assert len(cas) == 1
+        assert cas.get("ab") == {"short": True}
 
     def test_old_schema_flat_entry_stays_a_miss(self, tmp_path):
         entry = {"schema": CACHE_SCHEMA_VERSION - 1, "key": KEY,
@@ -286,17 +299,6 @@ class TestSinglePassMaintenance:
         assert cas.prune(older_than_s=5_000) == 1
         assert len(cas) == 0
 
-    def test_stats_counts_legacy_and_sharded_entries(self, tmp_path):
-        cas = ArtifactCAS(tmp_path)
-        cas.put(KEY, {"v": 1})
-        entry = {"schema": CACHE_SCHEMA_VERSION, "key": "aa" + "f" * 62,
-                 "record": {}}
-        (tmp_path / ("aa" + "f" * 62 + ".json")).write_text(json.dumps(entry))
-        stats = cas.stats()
-        assert stats["entries"] == 2
-        assert stats["stale_entries"] == 0
-        assert sorted(cas.keys()) == sorted([KEY, "aa" + "f" * 62])
-
 
 HEX_KEYS = st.text(alphabet="0123456789abcdef", min_size=3, max_size=64)
 
@@ -436,14 +438,6 @@ class TestProbeMany:
         assert all(probe[k] for k in stored)
         assert not any(probe[k] for k in absent)
 
-    def test_local_probe_many_sees_legacy_flat_entries(self, tmp_path):
-        cas = ArtifactCAS(tmp_path)
-        key = "ab" + "1" * 62
-        entry = {"schema": CACHE_SCHEMA_VERSION, "key": key, "record": {"v": 1}}
-        (tmp_path / f"{key}.json").write_text(json.dumps(entry))
-        assert cas.probe_many([key]) == {key: True}
-        assert cas.diff([key]) == []
-
     def test_object_probe_many_issues_list_pages_not_heads(self):
         """The O(pages) pin: probing a whole grid costs paginated LIST
         calls only — zero per-key HEAD round trips."""
@@ -477,8 +471,7 @@ class TestProbeMany:
         monkeypatch.setattr(os, "scandir", counting_scandir)
         missing = cas.diff(keys)
         assert missing == []
-        # One scandir per touched shard directory (no legacy pass needed:
-        # every key resolved in the sharded batch).
+        # One scandir per touched shard directory.
         assert len(calls) == 2
 
     def test_diff_batches_but_keeps_duplicates_and_order(self):

@@ -99,6 +99,12 @@ class TestPointDerivation:
         with pytest.raises(ValueError, match="auto"):
             SweepSpec(sinc_orders=("automatic",))
 
+    @pytest.mark.parametrize("axis", ["osr", "output_bits",
+                                      "halfband_coefficient_bits"])
+    def test_integer_axes_below_one_rejected(self, axis):
+        with pytest.raises(ValueError, match=f"{axis} values must be >= 1"):
+            SweepSpec(**{axis: (0,)})
+
 
 class TestCacheKeys:
     def test_key_stable_across_expansions(self):

@@ -188,6 +188,17 @@ class TestCommandErrorTaxonomy:
         assert response["stdout"] == stdout
         assert response["stderr"] == stderr
 
+    def test_invalid_sweep_axis_answers_and_keeps_serving(self, harness):
+        code, stdout, stderr = self._direct(["sweep", "--bandwidth-hz", "nan"])
+        assert code == 2
+        with harness.client() as client:
+            response = client.request("sweep", ["--bandwidth-hz", "nan"])
+            assert response["exit_code"] == 2
+            assert response["ok"] is False
+            assert response["stderr"] == stderr
+            assert stderr.startswith("error: bandwidth_hz values must be")
+            assert client.request("ping")["stdout"] == "pong\n"
+
     def test_cheap_success_is_byte_identical_to_cli(self, harness, tmp_path):
         args = ["stats", "--cache-dir", str(tmp_path / "nope")]
         code, stdout, stderr = self._direct(["cache"] + args)
