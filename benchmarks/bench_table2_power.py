@@ -81,28 +81,18 @@ def _median_s(fn, repeats=5):
     return statistics.median(times)
 
 
-def _activity_traces(chain, backend):
-    """Run the activity measurement with every Hogenauer stage forced onto
-    ``backend``; return each stage's ``(samples, toggles)`` trace."""
-    from dataclasses import replace
-
+def _activity_traces(chain):
+    """Run the activity measurement; return each Hogenauer stage's
+    ``(samples, toggles)`` trace."""
     from repro.hardware import measure_hogenauer_activity
 
-    stages = chain._hogenauer_stages
-    configs = [stage.config for stage in stages]
-    try:
-        for stage, config in zip(stages, configs):
-            stage.config = replace(config, backend=backend)
-        measure_hogenauer_activity(chain, n_samples=FLOW_ACTIVITY_SAMPLES)
-        return [(stage.trace.samples, dict(stage.trace.toggles))
-                for stage in stages]
-    finally:
-        for stage, config in zip(stages, configs):
-            stage.config = config
+    measure_hogenauer_activity(chain, n_samples=FLOW_ACTIVITY_SAMPLES)
+    return [(stage.trace.samples, dict(stage.trace.toggles))
+            for stage in chain._hogenauer_stages]
 
 
 @pytest.mark.benchmark(group="table2")
-def test_activity_path_speed(paper_chain):
+def test_activity_path_speed(paper_chain, reference_engines):
     """The activity path against the rest of the default design flow."""
     from repro.flow import run_design_flow
     from repro.hardware import measure_hogenauer_activity
@@ -112,8 +102,9 @@ def test_activity_path_speed(paper_chain):
         paper_chain, n_samples=FLOW_ACTIVITY_SAMPLES))
     flow_no_activity_s = _median_s(
         lambda: run_design_flow(measure_activity=False))
-    fast = _activity_traces(paper_chain, "auto")
-    reference = _activity_traces(paper_chain, "reference")
+    fast = _activity_traces(paper_chain)
+    with reference_engines():
+        reference = _activity_traces(paper_chain)
     toggles_match = fast == reference and all(samples > 0 for samples, _ in fast)
 
     print_series("Switching-activity path (paper chain, 5 MHz MSA stimulus)",

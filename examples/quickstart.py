@@ -4,9 +4,9 @@ Designs the Table I chain (Sinc4 → Sinc4 → Sinc6 → Saramäki halfband →
 scaler → 64th-order equalizer) from the registered ``lte-20`` scenario —
 the paper's own profile, shared with the tests, the CLI and the golden
 records — verifies it against the specification, prints the design summary
-and verification report, and runs a short bit-true simulation on the
-vectorized fast path (``backend="auto"`` — the sample-by-sample reference
-engine produces bit-identical words, 10–100× slower; see
+and verification report, and runs a short bit-true simulation.  The chain
+picks its vectorized fast path from the word widths (the sample-by-sample
+reference engine produces bit-identical words, 10–100× slower; see
 docs/ARCHITECTURE.md).
 
 Run with::
@@ -50,7 +50,7 @@ def main() -> None:
     modulator = DeltaSigmaModulator()
     tone = coherent_tone(2.5e6, 0.7, modulator.sample_rate_hz, 16384)
     codes = modulator.simulate(tone, engine="fast").codes
-    words = chain.process_fixed(codes)  # backend="auto" -> vectorized engine
+    words = chain.process_fixed(codes)  # int64 word widths -> vectorized engine
     print(f"  {len(codes)} modulator codes -> {len(words)} output words "
           f"({chain.spec.decimator.output_bits}-bit, peak |word| = "
           f"{int(np.max(np.abs(words)))})")

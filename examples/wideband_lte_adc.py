@@ -51,7 +51,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 2–4. Chain design, verification, RTL + power/area (Tables I, II),
     # then the end-to-end bit-true SNR with the scenario's stimulus.
-    # The SNR leg runs on the vectorized chain backend and the fast
+    # The SNR leg runs on the vectorized chain engines and the fast
     # modulator engine — bit-exact words, ~30x faster than the reference.
     # ------------------------------------------------------------------
     flow = run_design_flow(

@@ -60,6 +60,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import threading
@@ -131,6 +132,34 @@ def _require_positive(value: Optional[int], flag: str) -> None:
     """Reject non-positive integer flags with a clean one-line error."""
     if value is not None and value < 1:
         raise CLIError(f"{flag} must be at least 1 (got {value})")
+
+
+def _finite_float(text: str) -> float:
+    """argparse ``type=`` of float flags: a finite number (no nan/inf)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number "
+                                         f"(got {text!r})")
+    return value
+
+
+def _require_snr_record(samples: int, flag: str, targets) -> None:
+    """Reject a stimulus too short for the SNR analysis of any target.
+
+    ``targets`` yields ``(context, total_decimation)`` pairs; the first
+    target whose floor (``MIN_ANALYSIS_OUTPUTS`` output samples) exceeds
+    ``samples`` becomes a one-line :class:`CLIError`.
+    """
+    from repro.core.verification import require_snr_record_length
+
+    for context, decimation in targets:
+        try:
+            require_snr_record_length(samples, decimation, flag, context)
+        except ValueError as exc:
+            raise CLIError(str(exc))
 
 
 def _require_file(path: str, what: str) -> None:
@@ -391,12 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
     stats = cache_sub.add_parser("stats", help="print entry/byte/staleness counts")
     prune = cache_sub.add_parser(
         "prune", help="remove stale (corrupt/old-schema) entries")
-    prune.add_argument("--older-than-days", type=float, default=None,
+    prune.add_argument("--older-than-days", type=_finite_float, default=None,
                        metavar="DAYS",
                        help="also remove valid entries older than DAYS")
     prune.add_argument("--all", action="store_true",
                        help="remove every entry")
-    prune.add_argument("--tmp-grace-s", type=float, default=None,
+    prune.add_argument("--tmp-grace-s", type=_finite_float, default=None,
                        metavar="SECONDS",
                        help="reclaim orphaned *.tmp files older than this "
                             "many seconds (default: 3600; 0 reclaims all)")
@@ -455,11 +484,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "jobs + MAX_QUEUE in flight are shed with an "
                             "'overloaded' envelope; -1 disables shedding "
                             "(default: 128)")
-    serve.add_argument("--drain-grace-s", type=float, default=30.0,
+    serve.add_argument("--drain-grace-s", type=_finite_float, default=30.0,
                        help="graceful-drain window: how long SIGTERM/"
                             "SIGINT or the 'drain' verb waits for "
                             "in-flight work before exiting (default: 30)")
-    serve.add_argument("--write-timeout-s", type=float, default=30.0,
+    serve.add_argument("--write-timeout-s", type=_finite_float, default=30.0,
                        help="per-response write budget; a client that "
                             "stops reading loses its connection, not a "
                             "worker (default: 30)")
@@ -472,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
                              f"{DEFAULT_SERVE_HOST}:{DEFAULT_SERVE_PORT})")
     client.add_argument("--socket", metavar="PATH", default=None,
                         help="connect to a UNIX socket instead of TCP")
-    client.add_argument("--timeout", type=float, default=600.0,
+    client.add_argument("--timeout", type=_finite_float, default=600.0,
                         help="response timeout in seconds (default: 600)")
     client.add_argument("--retries", type=int, default=0,
                         help="retry idempotent verbs up to N times on "
@@ -523,9 +552,6 @@ def _add_flow_arguments(parser: argparse.ArgumentParser) -> None:
                         help="also simulate the end-to-end SNR (slower)")
     parser.add_argument("--snr-samples", type=int, default=16384,
                         help="modulator samples for the SNR simulation")
-    parser.add_argument("--backend", default="auto",
-                        choices=["auto", "reference", "vectorized"],
-                        help="bit-true chain engine for the SNR simulation")
     parser.add_argument("--no-activity", action="store_true",
                         help="skip toggle-activity measurement (faster power model)")
     parser.add_argument("--library", default="generic-45nm",
@@ -611,21 +637,30 @@ def _maybe_trace(args: argparse.Namespace):
         obs_trace.merge_worker_traces(path)
 
 
-def _cmd_design(args: argparse.Namespace, io: CommandIO) -> int:
-    from repro.flow import flow_report_text, run_design_flow
+def _run_flow(args: argparse.Namespace):
+    """The design flow behind ``design`` and ``verify``."""
+    from repro.flow import run_design_flow
     from repro.hardware.stdcell import library_by_name
 
     spec = _load_spec(args)
-    result = run_design_flow(
+    if args.snr:
+        _require_snr_record(args.snr_samples, "--snr-samples",
+                            [("", spec.total_decimation)])
+    return run_design_flow(
         spec=spec,
         options=_load_options(args, spec),
         library=library_by_name(args.library),
         include_snr_simulation=args.snr,
         snr_samples=args.snr_samples,
         measure_activity=not args.no_activity,
-        backend=args.backend,
         artifacts=_shared_store(args),
     )
+
+
+def _cmd_design(args: argparse.Namespace, io: CommandIO) -> int:
+    from repro.flow import flow_report_text
+
+    result = _run_flow(args)
     io.out(flow_report_text(result))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -635,22 +670,11 @@ def _cmd_design(args: argparse.Namespace, io: CommandIO) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, io: CommandIO) -> int:
-    from repro.flow import run_design_flow, verification_table_markdown
-    from repro.hardware.stdcell import library_by_name
+    from repro.flow import verification_table_markdown
 
-    spec = _load_spec(args)
     # With --snr the simulated end-to-end SNR becomes a verification row and
     # counts toward the verdict/exit code (run_design_flow folds it in).
-    result = run_design_flow(
-        spec=spec,
-        options=_load_options(args, spec),
-        library=library_by_name(args.library),
-        include_snr_simulation=args.snr,
-        snr_samples=args.snr_samples,
-        measure_activity=not args.no_activity,
-        backend=args.backend,
-        artifacts=_shared_store(args),
-    )
+    result = _run_flow(args)
     io.out(verification_table_markdown(result))
     io.out(f"\nOverall: {'PASS' if result.meets_spec else 'FAIL'}")
     return 0 if result.meets_spec else 1
@@ -725,8 +749,14 @@ def _cmd_sweep(args: argparse.Namespace, io: CommandIO) -> int:
             halfband_attenuation_db=tuple(args.halfband_att),
             halfband_coefficient_bits=tuple(args.halfband_coeff_bits),
         )
+        points = sweep.expand()
     except ValueError as exc:
         raise CLIError(str(exc))
+    if args.snr:
+        _require_snr_record(
+            args.snr_samples, "--snr-samples",
+            [(f" for sweep point '{point.label}'", point.spec.total_decimation)
+             for point in points])
     progress = None if args.quiet else io.err
     result = run_sweep(
         sweep,
@@ -919,17 +949,10 @@ def _cmd_robustness_run(args: argparse.Namespace, io: CommandIO) -> int:
                        "(see 'scenario list')")
     scenarios = _selected_scenarios(args)
     if args.stimulus_samples is not None:
-        from repro.robustness import MIN_ANALYSIS_OUTPUTS
-
-        for scenario in scenarios:
-            decimation = scenario.spec.total_decimation
-            floor = MIN_ANALYSIS_OUTPUTS * decimation
-            if args.stimulus_samples < floor:
-                raise CLIError(
-                    f"--stimulus-samples {args.stimulus_samples} is too "
-                    f"short for scenario '{scenario.name}' (decimation "
-                    f"{decimation}; the SNR analysis needs at least "
-                    f"{floor})")
+        _require_snr_record(
+            args.stimulus_samples, "--stimulus-samples",
+            [(f" for scenario '{scenario.name}'", scenario.spec.total_decimation)
+             for scenario in scenarios])
     model = _build_perturbation_model(args)
     progress = None if args.quiet else io.err
     suite = run_robustness_suite(

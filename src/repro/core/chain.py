@@ -10,20 +10,16 @@ Halfband(↓2) → Scaling → FIR equalizer`` (Fig. 5), with
   stream and produces the 14-bit output words, used for the end-to-end SNR
   measurement and for the switching-activity power estimation.
 
-Simulation backends and streaming
----------------------------------
-The bit-true simulator has two interchangeable engines, selected with the
-``backend`` argument of :meth:`DecimationChain.process_fixed` (and of every
-underlying stage):
-
-* ``"reference"`` — the original sample-by-sample / arbitrary-precision
-  integer path.  It is the gold model.
-* ``"vectorized"`` — a numpy fast path (cumsum-based Hogenauer evaluation,
-  strided-window matmul FIR stages, integer constant multiply for the
-  scaler) that produces **bit-identical** outputs and Hogenauer toggle
-  traces 10–100× faster.
-* ``"auto"`` (default) — vectorized whenever applicable (register widths and
-  accumulators fit ``int64``), reference otherwise.
+Simulation engines and streaming
+--------------------------------
+Every bit-true stage has a sample-by-sample / arbitrary-precision integer
+reference engine (the gold model) and a numpy fast engine (cumsum-based
+Hogenauer evaluation, strided-window matmul FIR stages, integer constant
+multiply for the scaler) that produces **bit-identical** outputs and
+Hogenauer toggle traces 10–100× faster.  There is no switch: each stage
+runs the fast engine whenever its words fit ``int64`` (Hogenauer registers
+up to 62 bits; FIR and scaler accumulators that provably fit) and the
+reference engine otherwise.
 
 For records too long to process in one shot,
 :meth:`DecimationChain.simulate_blocks` streams the code stream through the
@@ -423,15 +419,12 @@ class DecimationChain:
         offset = 1 << (self.spec.modulator.quantizer_bits - 1)
         return np.asarray(codes, dtype=np.int64) - offset
 
-    def process_fixed(self, codes: np.ndarray, collect_trace: bool = False,
-                      backend: str = "auto") -> np.ndarray:
+    def process_fixed(self, codes: np.ndarray,
+                      collect_trace: bool = False) -> np.ndarray:
         """Bit-true simulation: 4-bit codes in, ``output_bits``-bit words out.
 
-        ``backend`` selects the simulation engine for every stage
-        (``"auto"``, ``"reference"`` or ``"vectorized"``; see the module
-        docstring).  All engines return bit-identical words and, with
-        ``collect_trace=True``, record identical Hogenauer toggle traces for
-        the power model.
+        With ``collect_trace=True`` the Hogenauer stages record their
+        toggle traces for the power model.
 
         ``codes`` may also be a 2-D ``(batch, n)`` array of independent
         records: every stage then runs batch-vectorized (one cumsum/matmul
@@ -445,16 +438,12 @@ class DecimationChain:
                 raise ValueError("switching-activity tracing requires a "
                                  "single record, not a (batch, n) array")
             data = self._hogenauer.process_batch(signed)
-            data = self._halfband_impl.process(data, backend=backend)
-            data = self.scaling.process(data, backend=backend)
-            data = self._equalizer_impl.process(data, backend=backend)
-            return self._finalize_output(data)
-        self._hogenauer.reset()
-        data = self._hogenauer.process(signed, collect_trace=collect_trace,
-                                       backend=backend)
-        data = self._halfband_impl.process(data, backend=backend)
-        data = self.scaling.process(data, backend=backend)
-        data = self._equalizer_impl.process(data, backend=backend)
+        else:
+            self._hogenauer.reset()
+            data = self._hogenauer.process(signed, collect_trace=collect_trace)
+        data = self._halfband_impl.process(data)
+        data = self.scaling.process(data)
+        data = self._equalizer_impl.process(data)
         return self._finalize_output(data)
 
     def _finalize_output(self, data: np.ndarray) -> np.ndarray:
@@ -481,8 +470,7 @@ class DecimationChain:
         return np.array([min(hi, max(lo, int(v))) for v in data.tolist()], dtype=np.int64)
 
     def simulate_blocks(self, codes: Union[np.ndarray, Iterable[np.ndarray]],
-                        block_size: int = 65536,
-                        backend: str = "auto") -> Iterator[np.ndarray]:
+                        block_size: int = 65536) -> Iterator[np.ndarray]:
         """Stream a (long) code record through the bit-true chain in blocks.
 
         Yields ``output_bits``-wide integer words; the concatenation of all
@@ -501,10 +489,6 @@ class DecimationChain:
             how records that never fit in memory are processed.
         block_size:
             Chunk length when ``codes`` is a single array.
-        backend:
-            Engine for the stateful Hogenauer/scaling stages (the streaming
-            FIR wrappers pick the fast path automatically and are always
-            bit-exact).
         """
         if isinstance(codes, np.ndarray):
             chunks: Iterable[np.ndarray] = (
@@ -522,14 +506,10 @@ class DecimationChain:
             decimation=self._equalizer_impl.decimation,
             delay=self._equalizer_impl.order // 2)
 
-        def through_backend_stages(sinc_out: np.ndarray) -> np.ndarray:
-            hb_out = halfband.push(sinc_out)
-            return equalizer.push(self.scaling.process(hb_out, backend=backend))
-
         for chunk in chunks:
             signed = self.codes_to_signed(np.asarray(chunk))
-            sinc_out = self._hogenauer.process(signed, backend=backend)
-            out = through_backend_stages(sinc_out)
+            hb_out = halfband.push(self._hogenauer.process(signed))
+            out = equalizer.push(self.scaling.process(hb_out))
             if len(out):
                 yield self._finalize_output(out)
         # Flush the group-delay tails: remaining halfband outputs run through
@@ -537,7 +517,7 @@ class DecimationChain:
         tail_hb = halfband.flush()
         parts = []
         if len(tail_hb):
-            parts.append(equalizer.push(self.scaling.process(tail_hb, backend=backend)))
+            parts.append(equalizer.push(self.scaling.process(tail_hb)))
         parts.append(equalizer.flush())
         tail = np.concatenate([np.asarray(p) for p in parts if len(p)]) \
             if any(len(p) for p in parts) else np.zeros(0, dtype=np.int64)
@@ -563,8 +543,7 @@ class DecimationChain:
 
     def measure_output_snr(self, codes: np.ndarray, tone_hz: float,
                            discard_outputs: Optional[int] = None,
-                           analyze_outputs: Optional[int] = None,
-                           backend: str = "auto") -> float:
+                           analyze_outputs: Optional[int] = None) -> float:
         """End-to-end SNR of the decimated output for a tone test (Table I row).
 
         Parameters
@@ -580,12 +559,10 @@ class DecimationChain:
             Length of the analyzed record; defaults to everything after the
             discarded transient.  Pass a length over which the tone is
             coherent for the cleanest measurement.
-        backend:
-            Bit-true simulation engine (all engines yield identical words).
         """
         from repro.dsm.spectrum import analyze_tone
 
-        output = self.output_to_normalized(self.process_fixed(codes, backend=backend))
+        output = self.output_to_normalized(self.process_fixed(codes))
         settle = self._settle_samples() if discard_outputs is None else discard_outputs
         trimmed = output[settle:]
         if analyze_outputs is not None:

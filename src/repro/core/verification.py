@@ -82,7 +82,6 @@ class VerificationReport:
 def verify_chain(chain, include_snr: bool = False,
                  snr_samples: int = 65536,
                  passband_fraction: float = 0.95,
-                 backend: str = "auto",
                  artifacts=None,
                  snr_tone_hz: Optional[float] = None,
                  snr_amplitude: Optional[float] = None) -> VerificationReport:
@@ -102,9 +101,6 @@ def verify_chain(chain, include_snr: bool = False,
         band edge at the output Nyquist frequency carries the halfband's
         −6 dB point by construction; the paper's equalizer likewise restores
         "the signal band" rather than the exact Nyquist edge).
-    backend:
-        Bit-true chain engine for the SNR simulation (all engines are
-        bit-exact).
     artifacts:
         Optional :class:`~repro.flow.artifacts.ArtifactStore`.  The
         frequency-mask checks depend only on the designed filters and the
@@ -128,12 +124,11 @@ def verify_chain(chain, include_snr: bool = False,
 
     if include_snr:
         dec = chain.spec.decimator
-        with trace.span("flow.verify.snr", n_samples=snr_samples,
-                        backend=backend):
+        with trace.span("flow.verify.snr", n_samples=snr_samples):
             snr = simulated_output_snr(chain, n_samples=snr_samples,
                                        tone_hz=snr_tone_hz,
                                        amplitude=snr_amplitude,
-                                       backend=backend, artifacts=artifacts)
+                                       artifacts=artifacts)
         report.add("end-to-end SNR (bit-true chain)", snr, dec.target_snr_db - 3.0, ">=")
         report.metadata["simulated_snr_db"] = snr
 
@@ -289,17 +284,14 @@ def simulated_output_snr(chain, n_samples: int = 65536,
                          tone_hz: Optional[float] = None,
                          amplitude: Optional[float] = None,
                          seed_phase: float = 0.0,
-                         backend: str = "auto",
                          artifacts=None) -> float:
     """Modulator → bit-true chain → SNR measurement (the Table I bottom row).
 
+    The modulator always runs its ``"fast"`` recursive engine (see
+    :func:`modulator_tone_codes`).
+
     Parameters
     ----------
-    backend:
-        Bit-true chain engine (``"auto"``/``"reference"``/``"vectorized"``;
-        all produce identical output words, the default auto-selects the
-        vectorized fast path).  The modulator always runs its ``"fast"``
-        recursive engine (see :func:`modulator_tone_codes`).
     artifacts:
         Optional :class:`~repro.flow.artifacts.ArtifactStore`.  The
         modulator bit-stream depends only on the modulator spec and the
@@ -314,8 +306,31 @@ def simulated_output_snr(chain, n_samples: int = 65536,
                                  artifacts=artifacts)
     return chain.measure_output_snr(codes, exact_tone_hz,
                                     discard_outputs=settle_outputs,
-                                    analyze_outputs=n_samples // chain.total_decimation,
-                                    backend=backend)
+                                    analyze_outputs=n_samples // chain.total_decimation)
+
+
+#: Minimum decimated output samples the SNR analysis needs.  The tone
+#: analysis attributes 2*8+1 bins to the signal and excludes 4 near DC;
+#: shorter records leave (almost) no noise bins and report absurd SNRs with
+#: a false PASS, or fail outright.
+MIN_ANALYSIS_OUTPUTS = 64
+
+
+def require_snr_record_length(n_samples: int, total_decimation: int,
+                              name: str = "n_samples", context: str = "") -> None:
+    """Raise :class:`ValueError` unless ``n_samples`` modulator samples
+    leave :data:`MIN_ANALYSIS_OUTPUTS` outputs after ``total_decimation``.
+
+    ``name`` labels the offending value in the message and ``context``
+    (e.g. ``" for scenario 'lte-20'"``) says whose floor it missed.
+    """
+    floor = MIN_ANALYSIS_OUTPUTS * total_decimation
+    if n_samples < floor:
+        raise ValueError(
+            f"{name} {n_samples} is too short{context} (decimation "
+            f"{total_decimation}): it yields fewer than "
+            f"{MIN_ANALYSIS_OUTPUTS} output samples; the SNR analysis "
+            f"needs at least {floor}")
 
 
 def snr_stimulus_parameters(chain, n_samples: int,

@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.explore.store import CACHE_SCHEMA_VERSION, ArtifactCAS, open_store
+from repro.explore.store import (CACHE_SCHEMA_VERSION, FLOW_SETTINGS_BACKEND,
+                                 ArtifactCAS, open_store)
 from repro.explore.pareto import DEFAULT_OBJECTIVES, Objective, pareto_rank
 from repro.explore.sweep import SweepPoint, SweepSpec
 from repro.flow.artifacts import ArtifactStore
@@ -74,10 +75,10 @@ def run_flow_payload(payload: dict,
     The payload layout is ``{"spec": ChainSpec.to_dict(), "options":
     ChainDesignOptions.to_dict(), "flow": flow-settings dict}``; the flow
     settings carry the library name, the SNR-leg configuration (including
-    the optional explicit ``snr_tone_hz``/``snr_amplitude`` stimulus) and
-    the simulation backend.  Callers that only need the JSON record use
-    :func:`_execute_point`; the scenario runner builds on this function to
-    post-process the designed chain (e.g. the Farrow rate-converter leg).
+    the optional explicit ``snr_tone_hz``/``snr_amplitude`` stimulus).
+    Callers that only need the JSON record use :func:`_execute_point`; the
+    scenario runner builds on this function to post-process the designed
+    chain (e.g. the Farrow rate-converter leg).
     """
     from repro.core.chain import ChainDesignOptions
     from repro.core.spec import ChainSpec
@@ -94,7 +95,6 @@ def run_flow_payload(payload: dict,
         include_snr_simulation=flow["include_snr"],
         snr_samples=flow["snr_samples"],
         measure_activity=flow["measure_activity"],
-        backend=flow["backend"],
         artifacts=artifacts,
         snr_tone_hz=flow.get("snr_tone_hz"),
         snr_amplitude=flow.get("snr_amplitude"),
@@ -368,13 +368,31 @@ def shard_points(points: Sequence[SweepPoint],
     return [p for p in points if p.index % count == index - 1]
 
 
+def sweep_flow_settings(include_snr: bool = False, snr_samples: int = 16384,
+                        measure_activity: bool = False,
+                        library: str = "generic-45nm") -> dict:
+    """The flow-settings block of a sweep run (:func:`run_sweep`'s defaults).
+
+    It is part of every point's cache key and of the JSON report, so its
+    layout is frozen: the constant ``"backend"`` entry keeps keys and
+    reports byte-identical to runs that predate the engine rule.
+    """
+    return {
+        "include_snr": bool(include_snr),
+        "snr_samples": int(snr_samples),
+        "measure_activity": bool(measure_activity),
+        "backend": FLOW_SETTINGS_BACKEND,
+        "library": str(library),
+        "cache_schema": CACHE_SCHEMA_VERSION,
+    }
+
+
 def run_sweep(sweep: SweepSpec,
               workers: int = 1,
               cache_dir: Optional[Union[str, Path, ArtifactCAS]] = None,
               include_snr: bool = False,
               snr_samples: int = 16384,
               measure_activity: bool = False,
-              backend: str = "auto",
               library: str = "generic-45nm",
               progress: Optional[Callable[[str], None]] = None,
               jobs: Optional[int] = None,
@@ -407,10 +425,7 @@ def run_sweep(sweep: SweepSpec,
         Modulator samples for the per-point SNR simulation.
     measure_activity:
         Measure Hogenauer toggle activity for the power model instead of
-        using the per-kind defaults (slower, reference engine).
-    backend:
-        Bit-true chain engine for the SNR leg (``"auto"`` picks the PR-1
-        vectorized fast path).
+        using the per-kind defaults (slower).
     library:
         Standard-cell library name (``"generic-45nm"`` or ``"generic-90nm"``).
     progress:
@@ -465,14 +480,8 @@ def run_sweep(sweep: SweepSpec,
     n_jobs = int(jobs if jobs is not None else workers)
     if n_jobs < 1:
         raise ValueError("jobs must be at least 1")
-    flow_settings = {
-        "include_snr": bool(include_snr),
-        "snr_samples": int(snr_samples),
-        "measure_activity": bool(measure_activity),
-        "backend": str(backend),
-        "library": str(library),
-        "cache_schema": CACHE_SCHEMA_VERSION,
-    }
+    flow_settings = sweep_flow_settings(include_snr, snr_samples,
+                                        measure_activity, library)
     all_points = sweep.expand()
     points = shard_points(all_points, shard)
     cache = open_store(cache_dir) if cache_dir is not None else None

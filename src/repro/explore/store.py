@@ -92,6 +92,14 @@ __all__ = [
 #: is unchanged, only its location moved (pre-shard flat entries miss).
 CACHE_SCHEMA_VERSION = 2
 
+#: The ``"backend"`` entry of every serialized flow-settings block.  The
+#: bit-true chain no longer has an engine switch (both engines are
+#: bit-identical and picked from word widths), but sweep JSON reports, the
+#: sweep/scenario/robustness cache keys and the ``robustness-lte-20``
+#: golden all carry this entry, so it stays, as a constant, to keep every
+#: existing report, key and store entry byte-identical.
+FLOW_SETTINGS_BACKEND = "auto"
+
 #: Hex characters of the key that name the shard directory (two levels of
 #: 16 → 256 shard directories).
 SHARD_PREFIX_LEN = 2

@@ -17,27 +17,26 @@ are modelled because they matter for the power estimate:
 Functionally both optimizations only add latency; the bit-true output is
 unchanged, which the test suite verifies.
 
-Simulation backends
--------------------
+Simulation engines
+------------------
 Two engines produce bit-identical outputs:
 
-* ``backend="reference"`` — the original sample-by-sample simulation of the
+* the reference engine — the original sample-by-sample simulation of the
   register-transfer structure.  It is the gold model and it works for
   arbitrary register widths.
-* ``backend="vectorized"`` — a numpy fast path: the K integrators are K
+* the vectorized engine — a numpy fast path: the K integrators are K
   cumulative sums, the rate change is a strided slice, and the K combs are
   vectorized first differences.  All arithmetic runs in ``uint64`` (i.e.
   modulo 2**64); because every operation is an addition or subtraction, the
   results stay congruent to the reference modulo ``2**width``, so the final
   wrap to the register width reproduces the wrap-around two's-complement
-  hardware exactly.  Available for register widths up to 62 bits.
-* ``backend="auto"`` (default) — picks the vectorized engine whenever the
-  register width allows it and falls back to the reference otherwise.
+  hardware exactly.
 
-Both engines share the streaming state (integrators, comb delays, phase), so
-blocks may be fed through different backends and still continue the same
-simulation.  Both also record the same per-node toggle counts for the
-switching-activity power estimation (``collect_trace=True``).
+The register width alone picks the engine (:func:`_use_vectorized_engine`):
+vectorized up to 62 bits, reference beyond.  Both engines share the
+streaming state (integrators, comb delays, phase) and record the same
+per-node toggle counts for the switching-activity power estimation
+(``collect_trace=True``).
 """
 
 from __future__ import annotations
@@ -58,27 +57,12 @@ _MAX_INT64_WIDTH = 62
 _MASK64 = (1 << 64) - 1
 
 
-def _resolve_backend(backend: Optional[str], default: str, width: int) -> str:
-    """Resolve a backend request to a concrete engine name.
-
-    ``auto`` selects the vectorized engine when the register width permits;
-    an explicit ``"vectorized"`` request raises when it cannot be honoured
-    bit-true.
-    """
-    choice = backend or default
-    if choice == "auto":
-        return "reference" if width > _MAX_INT64_WIDTH else "vectorized"
-    if choice == "vectorized":
-        if width > _MAX_INT64_WIDTH:
-            raise ValueError(
-                f"vectorized backend supports register widths up to "
-                f"{_MAX_INT64_WIDTH} bits (got {width}); use the reference "
-                f"backend")
-        return "vectorized"
-    if choice == "reference":
-        return "reference"
-    raise ValueError(f"unknown backend {choice!r}; "
-                     "expected 'auto', 'reference' or 'vectorized'")
+def _use_vectorized_engine(width: int) -> bool:
+    """Engine guard of the Hogenauer stages: the vectorized engine for
+    registers up to :data:`_MAX_INT64_WIDTH` bits, the reference engine
+    beyond.  Tests force the reference engine (their oracle) by patching
+    this guard false."""
+    return width <= _MAX_INT64_WIDTH
 
 
 @dataclass
@@ -89,9 +73,6 @@ class HogenauerConfig:
     pipelined: bool = True
     #: Extra guard bits on top of Eq. (2); zero reproduces the paper.
     guard_bits: int = 0
-    #: Default simulation engine: ``"auto"``, ``"reference"`` or
-    #: ``"vectorized"`` (see the module docstring).
-    backend: str = "auto"
 
 
 @dataclass
@@ -136,11 +117,6 @@ class HogenauerDecimator:
     wide) and produces integer samples of ``register_bits`` width.  The DC
     gain is ``M**K``; callers that need unity gain divide by
     ``2**(K*log2(M))`` afterwards (the chain keeps track of this scaling).
-
-    :meth:`process` accepts a ``backend`` argument selecting between the
-    sample-by-sample reference engine and the bit-identical vectorized
-    engine (see the module docstring); the default follows
-    ``HogenauerConfig.backend``.
     """
 
     def __init__(self, spec: SincFilterSpec, config: Optional[HogenauerConfig] = None) -> None:
@@ -177,8 +153,7 @@ class HogenauerDecimator:
     # ------------------------------------------------------------------
     # Streaming interface
     # ------------------------------------------------------------------
-    def process(self, samples: np.ndarray, collect_trace: bool = False,
-                backend: Optional[str] = None) -> np.ndarray:
+    def process(self, samples: np.ndarray, collect_trace: bool = False) -> np.ndarray:
         """Filter and decimate a block of integer input samples.
 
         Parameters
@@ -190,10 +165,6 @@ class HogenauerDecimator:
             Accumulate per-node toggle counts into :attr:`trace` for the
             power model.  Both engines count the same toggles; each call
             compares a node's first value against 0.
-        backend:
-            ``"auto"``, ``"reference"`` or ``"vectorized"``; ``None`` uses
-            ``self.config.backend``.  Both engines are bit-exact and share
-            the streaming state.
 
         Returns
         -------
@@ -204,11 +175,10 @@ class HogenauerDecimator:
         if samples.dtype != object and not np.issubdtype(samples.dtype, np.integer):
             raise TypeError("HogenauerDecimator processes integer samples; "
                             "quantize the input first")
-        engine = _resolve_backend(backend, self.config.backend, self.width)
         # Value sequences of integrators 0…K-1 then combs 0…K-1; nodes an
         # early-returning engine never reached are empty.
         nodes: Optional[list] = [] if collect_trace else None
-        run = (self._process_vectorized if engine == "vectorized"
+        run = (self._process_vectorized if _use_vectorized_engine(self.width)
                else self._process_reference)
         out = run(samples, nodes)
         if collect_trace:
@@ -331,10 +301,9 @@ class HogenauerDecimator:
         cumulative sums along the time axis, the rate change is a strided
         column slice and the K combs are first differences.  Row ``b`` of
         the result is bit-exact to ``reset(); process(samples[b])``.  The
-        instance's streaming state is left untouched.
-
-        Requires a register width the vectorized engine supports
-        (≤ 62 bits); wider configurations must loop the reference engine.
+        instance's streaming state is left untouched.  Registers too wide
+        for the vectorized engine run each row through a fresh decimator
+        on the reference engine instead.
         """
         samples = np.asarray(samples)
         if samples.ndim != 2:
@@ -345,15 +314,13 @@ class HogenauerDecimator:
         k = self.spec.order
         m = self.spec.decimation
         width = self.width
-        if width > _MAX_INT64_WIDTH:
-            raise ValueError(
-                f"batch processing supports register widths up to "
-                f"{_MAX_INT64_WIDTH} bits (got {width}); loop the reference "
-                f"engine instead")
         batch, n = samples.shape
         n_out = n // m
-        if n_out == 0:
-            return np.zeros((batch, 0), dtype=np.int64)
+        if n_out == 0 or batch == 0:
+            return np.zeros((batch, n_out), dtype=np.int64)
+        if not _use_vectorized_engine(width):
+            return np.stack([HogenauerDecimator(self.spec, self.config).process(row)
+                             for row in samples])
         if samples.dtype == object:
             samples = np.array([[wrap_twos_complement(int(v), width) for v in row]
                                 for row in samples.tolist()], dtype=np.int64)
@@ -459,12 +426,11 @@ class HogenauerCascade:
         for stage in self.stages:
             stage.reset()
 
-    def process(self, samples: np.ndarray, collect_trace: bool = False,
-                backend: Optional[str] = None) -> np.ndarray:
-        """Run a block through every stage (``backend`` as in the stages)."""
+    def process(self, samples: np.ndarray, collect_trace: bool = False) -> np.ndarray:
+        """Run a block through every stage."""
         data = np.asarray(samples)
         for stage in self.stages:
-            data = stage.process(data, collect_trace=collect_trace, backend=backend)
+            data = stage.process(data, collect_trace=collect_trace)
             if self.rescale:
                 shift = stage.spec.output_bits - stage.spec.input_bits
                 if shift > 0:

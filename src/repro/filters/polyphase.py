@@ -9,16 +9,17 @@ rate.
 
 This module provides a generic polyphase FIR decimator (floating point and
 bit-true integer variants) used by the ablation benchmarks (single-stage vs
-multistage comparison) and as an independent reference implementation for
-the halfband and equalizer stages.
+multistage comparison).
 
-It also hosts the vectorized engine shared by every FIR-shaped stage of the
-chain (:func:`convolve_strided_matmul`): the decimated convolution is
-evaluated by assembling a strided window matrix (a zero-copy reshape of the
-delay line) and taking one matrix-vector product, which is exactly the
+It also hosts the one bit-true kernel behind every FIR-shaped stage of the
+chain (:func:`fixed_point_decimate`: convolve, align, decimate, round) and
+its fast engine (:func:`convolve_strided_matmul`): the decimated convolution
+is evaluated by assembling a strided window matrix (a zero-copy reshape of
+the delay line) and taking one matrix-vector product, which is exactly the
 polyphase identity "only every M-th output is computed" expressed as a
-matmul.  On integer inputs the product is computed in ``int64`` and is exact
-as long as the accumulator provably fits, which the callers check.
+matmul.  On integer inputs the product is computed in ``int64``, which the
+kernel uses only when the accumulator provably fits; otherwise it falls
+back to exact Python integers.
 """
 
 from __future__ import annotations
@@ -40,47 +41,28 @@ def max_abs_int(samples: np.ndarray) -> int:
     itself), so the magnitude is taken from the extrema in Python integers
     instead.
     """
-    if len(samples) == 0:
+    if samples.size == 0:
         return 0
     return max(int(samples.max()), -int(samples.min()), 0)
 
 
-def int64_accumulator_safe(samples: np.ndarray, abs_multiplier_sum: int) -> bool:
-    """Whether a sum of products of ``samples`` with multipliers of total
-    absolute magnitude ``abs_multiplier_sum`` provably fits ``int64``.
+def _use_int64_engine(samples: np.ndarray, abs_multiplier_sum: int) -> bool:
+    """Engine guard of the FIR-shaped stages and the scaler.
 
-    The shared guard behind every ``backend="auto"`` decision: object-dtype
-    or float inputs are never int64-safe, integer inputs are safe when the
-    worst-case accumulator ``abs_multiplier_sum * max|x|`` stays below
-    :data:`INT64_SAFE_BOUND`.
+    ``True`` selects the ``int64`` engine (strided matmul or plain
+    multiply), ``False`` the exact Python-integer reference engine.  The
+    two are bit-identical, so the choice is made from the data alone: the
+    fast engine whenever a sum of products of ``samples`` with multipliers
+    of total absolute magnitude ``abs_multiplier_sum`` provably fits
+    ``int64`` — integer (not object or float) samples, and a worst-case
+    accumulator ``abs_multiplier_sum * max|x|`` (taking ``max|x| >= 1``, so
+    the multipliers themselves fit too) below :data:`INT64_SAFE_BOUND`.
+    Tests force the reference engine (their oracle) by patching this guard
+    false.
     """
     if samples.dtype == object or not np.issubdtype(samples.dtype, np.integer):
         return False
-    return abs_multiplier_sum * max_abs_int(samples) < INT64_SAFE_BOUND
-
-
-def resolve_int_backend(samples: np.ndarray, abs_multiplier_sum: int,
-                        backend: str) -> str:
-    """Resolve a FIR-stage ``backend`` request to a concrete engine.
-
-    ``"auto"`` picks ``"vectorized"`` exactly when
-    :func:`int64_accumulator_safe` holds; an explicit ``"vectorized"``
-    request on unsafe input raises (the caller must use the exact
-    reference path), as does an unknown backend name.  Shared by every
-    bit-true FIR-shaped stage so the dispatch rules stay in one place.
-    """
-    safe = int64_accumulator_safe(samples, abs_multiplier_sum)
-    if backend == "auto":
-        return "vectorized" if safe else "reference"
-    if backend == "vectorized":
-        if not safe:
-            raise ValueError("accumulator may overflow int64; use the "
-                             "reference backend")
-        return backend
-    if backend == "reference":
-        return backend
-    raise ValueError(f"unknown backend {backend!r}; "
-                     "expected 'auto', 'reference' or 'vectorized'")
+    return abs_multiplier_sum * max(1, max_abs_int(samples)) < INT64_SAFE_BOUND
 
 
 def polyphase_components(taps: np.ndarray, decimation: int) -> List[np.ndarray]:
@@ -147,6 +129,53 @@ def convolve_strided_matmul(samples: np.ndarray, taps: np.ndarray,
     windows = sliding_window_view(padded, length, axis=-1)
     windows = windows[..., offset:last + 1:step, :]
     return windows @ t[::-1]
+
+
+def fixed_point_decimate(samples: np.ndarray, int_taps: np.ndarray,
+                         coefficient_bits: int, offset: int, step: int = 1,
+                         count: Optional[int] = None) -> np.ndarray:
+    """The bit-true kernel of every FIR-shaped stage: convolve with integer
+    taps, keep every ``step``-th value from ``offset``, round.
+
+    Returns ``(full[offset + j*step] + half) >> coefficient_bits`` for
+    ``j < count``, where ``full`` is ``np.convolve(samples, int_taps)``
+    (zero beyond its end) and ``half`` rounds the ``coefficient_bits``
+    fractional bits of the products to nearest, as the hardware's output
+    adder does.  ``count`` defaults as in :func:`convolve_strided_matmul`.
+
+    ``samples`` is a 1-D record or a ``(batch, n)`` array of independent
+    records (row ``b`` of the result equals the 1-D call on ``samples[b]``).
+    The engine follows :func:`_use_int64_engine`: the ``int64``
+    strided matmul computes only the kept outputs; otherwise the full
+    convolution runs in exact Python integers and the result has object
+    dtype.  Both engines return identical values.
+    """
+    x = np.asarray(samples)
+    taps = [int(t) for t in np.asarray(int_taps).tolist()]
+    if count is None:
+        count = max(0, -(-(x.shape[-1] - offset) // step))
+    if count == 0:
+        return np.zeros(x.shape[:-1] + (0,), dtype=np.int64)
+    half = (1 << (coefficient_bits - 1)) if coefficient_bits > 0 else 0
+    if _use_int64_engine(x, sum(abs(t) for t in taps)):
+        values = convolve_strided_matmul(
+            x.astype(np.int64), np.array(taps, dtype=np.int64),
+            offset=offset, step=step, count=count)
+        return (values + half) >> coefficient_bits
+
+    taps_obj = np.array(taps, dtype=object)
+    # Right-pad so the last requested index exists (np.convolve's zeros).
+    pad = [0] * max(0, offset + (count - 1) * step + 2 - len(taps) - x.shape[-1])
+
+    def exact(row: np.ndarray) -> np.ndarray:
+        ints = np.array([int(v) for v in row.tolist()] + pad, dtype=object)
+        picked = np.convolve(ints, taps_obj)[offset::step][:count]
+        return np.array([(int(v) + half) >> coefficient_bits for v in picked],
+                        dtype=object)
+
+    if x.ndim == 2:
+        return np.stack([exact(row) for row in x])
+    return exact(x)
 
 
 @dataclass
@@ -218,10 +247,8 @@ class PolyphaseDecimator:
 class PolyphaseDecimatorFixedPoint:
     """Bit-true integer polyphase decimator with quantized coefficients.
 
-    ``backend="vectorized"`` (the ``"auto"`` default when the accumulator
-    provably fits ``int64``) evaluates the decimated convolution with
-    :func:`convolve_strided_matmul`; ``backend="reference"`` keeps the
-    original arbitrary-precision integer path.  Both are bit-exact.
+    Runs :func:`fixed_point_decimate`, so it shares the engine rule of the
+    chain's FIR stages and accepts ``(batch, n)`` arrays.
     """
 
     taps: np.ndarray
@@ -233,23 +260,9 @@ class PolyphaseDecimatorFixedPoint:
         self.taps = np.asarray(self.taps, dtype=float)
         scale = 1 << self.coefficient_bits
         self._int_taps = np.array([int(round(t * scale)) for t in self.taps], dtype=object)
-        self._abs_tap_sum = int(sum(abs(int(t)) for t in self._int_taps))
 
-    def process(self, samples: np.ndarray, backend: str = "auto") -> np.ndarray:
-        """Bit-true decimation of a block (``backend`` as in the class docs)."""
-        samples = np.asarray(samples)
-        if len(samples) == 0:
-            return np.zeros(0, dtype=np.int64)
-        backend = resolve_int_backend(samples, self._abs_tap_sum, backend)
-        if backend == "vectorized":
-            full = convolve_strided_matmul(
-                samples.astype(np.int64), self._int_taps.astype(np.int64),
-                offset=self.decimation - 1, step=self.decimation)
-            half = 1 << (self.coefficient_bits - 1)
-            return (full + half) >> self.coefficient_bits
-        ints = np.array([int(v) for v in samples.tolist()], dtype=object)
-        full = np.convolve(ints, self._int_taps)
-        selected = full[self.decimation - 1:len(ints):self.decimation]
-        half = 1 << (self.coefficient_bits - 1)
-        return np.array([(int(v) + half) >> self.coefficient_bits for v in selected],
-                        dtype=object)
+    def process(self, samples: np.ndarray) -> np.ndarray:
+        """Bit-true decimation of a block: keep every M-th output of the
+        full convolution, starting at index M-1."""
+        return fixed_point_decimate(samples, self._int_taps, self.coefficient_bits,
+                                    offset=self.decimation - 1, step=self.decimation)

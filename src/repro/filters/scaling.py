@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.filters.polyphase import resolve_int_backend
+from repro.filters import polyphase
 from repro.fixedpoint.csd import CSDCode, to_csd, csd_multiply_int
 from repro.fixedpoint.horner import HornerStep, horner_decomposition, horner_adder_count
 
@@ -88,27 +88,24 @@ class ScalingStage:
     # ------------------------------------------------------------------
     # Processing
     # ------------------------------------------------------------------
-    def process(self, samples: np.ndarray, backend: str = "auto") -> np.ndarray:
-        """Bit-true scaling of integer samples.
+    def process(self, samples: np.ndarray) -> np.ndarray:
+        """Bit-true scaling of integer samples (1-D or ``(batch, n)``).
 
         Each sample is multiplied by the CSD-encoded constant using shifts
         and adds only; the ``coefficient_bits`` fractional bits of the
         product are rounded away at the output.  The shift-add network
-        computes an exact integer constant multiplication, so the vectorized
-        backend is a plain ``int64`` multiply by that constant — bit-exact
-        with the reference shift-add evaluation (``"auto"`` falls back to
-        the reference when the product might overflow ``int64``).
+        computes an exact integer constant multiplication, so whenever the
+        product provably fits ``int64`` it is evaluated as a plain ``int64``
+        multiply by that constant, bit-exact with the shift-add reference
+        evaluation used otherwise.
         """
         samples = np.asarray(samples)
-        backend = resolve_int_backend(samples, abs(self._int_multiplier), backend)
         half = 1 << (self.coefficient_bits - 1)
-        if backend == "vectorized":
-            # Elementwise, so a 2-D (batch, n) input works unchanged.
+        if polyphase._use_int64_engine(samples, abs(self._int_multiplier)):
             product = samples.astype(np.int64) * np.int64(self._int_multiplier)
             return (product + half) >> self.coefficient_bits
         if samples.ndim == 2:
-            return np.stack([self.process(row, backend=backend)
-                             for row in samples])
+            return np.stack([self.process(row) for row in samples])
         ints = [int(v) for v in samples.tolist()]
         out = []
         for value in ints:

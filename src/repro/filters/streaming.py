@@ -18,10 +18,10 @@ bounded by the block size plus the filter length — this is what lets
 :meth:`repro.core.chain.DecimationChain.simulate_blocks` run arbitrarily
 long bit-streams in constant memory.
 
-The arithmetic runs through the same strided-window matmul engine as the
-one-shot vectorized backend (:func:`repro.filters.polyphase.convolve_strided_matmul`)
-when the accumulator provably fits ``int64``, and falls back to exact
-arbitrary-precision integers otherwise.
+The arithmetic runs through the same kernel as the one-shot stages
+(:func:`repro.filters.polyphase.fixed_point_decimate`), so it follows the
+same engine rule: ``int64`` strided matmul when the accumulator provably
+fits, exact arbitrary-precision integers otherwise.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.filters.polyphase import convolve_strided_matmul, int64_accumulator_safe
+from repro.filters.polyphase import fixed_point_decimate
 
 
 class StreamingFIRDecimator:
@@ -59,9 +59,6 @@ class StreamingFIRDecimator:
         if decimation < 1:
             raise ValueError("decimation must be at least 1")
         self._taps_obj = np.array(taps, dtype=object)
-        self._taps64 = (np.array(taps, dtype=np.int64)
-                        if all(abs(t) < (1 << 62) for t in taps) else None)
-        self._abs_tap_sum = sum(abs(t) for t in taps)
         self.coefficient_bits = coefficient_bits
         self.decimation = decimation
         self.delay = (len(taps) - 1) // 2 if delay is None else delay
@@ -151,20 +148,7 @@ class StreamingFIRDecimator:
             return np.zeros(0, dtype=np.int64)
         count = -(-(emit_end - start) // m)  # aligned grid points in range
         offset = start + self.delay - global_base
-        # Integer taps (coefficient_bits == 0) need no rounding offset.
-        half = (1 << (self.coefficient_bits - 1)) if self.coefficient_bits > 0 else 0
-        use64 = (self._taps64 is not None
-                 and int64_accumulator_safe(data, self._abs_tap_sum))
-        if use64:
-            values = convolve_strided_matmul(data, self._taps64,
-                                             offset=offset, step=m, count=count)
-            out = (values + half) >> self.coefficient_bits
-        else:
-            obj = (data if data.dtype == object
-                   else np.array([int(v) for v in data.tolist()], dtype=object))
-            full = np.convolve(obj, self._taps_obj)
-            picked = full[offset:offset + count * m:m][:count]
-            out = np.array([(int(v) + half) >> self.coefficient_bits
-                            for v in picked], dtype=object)
+        out = fixed_point_decimate(data, self._taps_obj, self.coefficient_bits,
+                                   offset=offset, step=m, count=count)
         self._next_aligned = start + count * m
         return out

@@ -1,10 +1,8 @@
 """End-to-end design flow: spec in, verified design + synthesis report out.
 
-The flow's simulation steps accept a ``backend`` option selecting the
-bit-true chain engine (``"auto"``/``"reference"``/``"vectorized"``; all
-bit-exact — see :mod:`repro.core.chain`) and expose the block-streaming
-simulator through :meth:`FlowResult.simulate_blocks` so arbitrarily long
-code records can be pushed through a designed chain in bounded memory.
+The flow exposes the block-streaming simulator through
+:meth:`FlowResult.simulate_blocks`, so arbitrarily long code records can be
+pushed through a designed chain in bounded memory.
 
 Staged execution
 ----------------
@@ -54,8 +52,7 @@ class FlowResult:
         return self.verification.passed
 
     def simulate_blocks(self, codes: Union[np.ndarray, Iterable[np.ndarray]],
-                        block_size: int = 65536,
-                        backend: str = "auto") -> Iterator[np.ndarray]:
+                        block_size: int = 65536) -> Iterator[np.ndarray]:
         """Stream a code record through the designed chain in bounded memory.
 
         Thin delegate to
@@ -63,8 +60,7 @@ class FlowResult:
         concatenated blocks equal ``chain.process_fixed(codes)`` bit for
         bit.
         """
-        return self.chain.simulate_blocks(codes, block_size=block_size,
-                                          backend=backend)
+        return self.chain.simulate_blocks(codes, block_size=block_size)
 
     def summary(self) -> dict:
         """Flat dictionary used by the examples and the benchmark harness."""
@@ -129,7 +125,6 @@ def run_design_flow(spec: Optional[ChainSpec] = None,
                     include_snr_simulation: bool = False,
                     snr_samples: int = 32768,
                     measure_activity: bool = True,
-                    backend: str = "auto",
                     artifacts: Optional[ArtifactStore] = None,
                     snr_tone_hz: Optional[float] = None,
                     snr_amplitude: Optional[float] = None) -> FlowResult:
@@ -153,9 +148,6 @@ def run_design_flow(spec: Optional[ChainSpec] = None,
     measure_activity:
         Measure Hogenauer toggle activity with the 5 MHz MSA stimulus for
         the power model (the paper's methodology) instead of using defaults.
-    backend:
-        Bit-true chain engine for the SNR simulation (all engines are
-        bit-exact; ``"auto"`` picks the vectorized fast path).
     artifacts:
         Optional :class:`~repro.flow.artifacts.ArtifactStore` memoizing the
         shareable stages (halfband/equalizer design, mask verification,
@@ -171,7 +163,7 @@ def run_design_flow(spec: Optional[ChainSpec] = None,
     with trace.span("flow.design", memoized=artifacts is not None):
         chain = DecimationChain.design(spec, options, artifacts=artifacts)
     verification = verify_chain(chain, include_snr=include_snr_simulation,
-                                snr_samples=snr_samples, backend=backend,
+                                snr_samples=snr_samples,
                                 artifacts=artifacts,
                                 snr_tone_hz=snr_tone_hz,
                                 snr_amplitude=snr_amplitude)

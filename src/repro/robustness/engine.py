@@ -47,7 +47,9 @@ import numpy as np
 
 from repro.core.chain import ChainDesignOptions, DecimationChain
 from repro.core.spec import ChainSpec, content_hash
-from repro.core.verification import (VerificationReport, simulated_output_snr,
+from repro.core.verification import (MIN_ANALYSIS_OUTPUTS, VerificationReport,
+                                     require_snr_record_length,
+                                     simulated_output_snr,
                                      snr_stimulus_parameters, verify_chain,
                                      verify_distribution)
 from repro.dsm.modulator import DeltaSigmaModulator
@@ -85,13 +87,6 @@ GOLDEN_RUN_SETTINGS = {
     "seed": 2011,
     "stimulus_samples": 4096,
 }
-
-#: Minimum decimated output samples the per-sample SNR analysis needs.
-#: The tone analysis attributes 2*8+1 bins to the signal and excludes 4
-#: near DC; shorter records leave (almost) no noise bins and report
-#: absurd SNRs with a false PASS.  ``run_robustness_suite`` rejects any
-#: ``stimulus_samples`` below ``MIN_ANALYSIS_OUTPUTS * decimation``.
-MIN_ANALYSIS_OUTPUTS = 64
 
 
 # ----------------------------------------------------------------------
@@ -149,8 +144,7 @@ def execute_robustness_payload(payload: dict,
             chain, model, payload["variants"][variant], variant, artifacts)
         rows = np.asarray(rows_by_variant[variant])
         # One batched bit-true chain simulation per variant group.
-        words = chain_v.process_fixed(batch.codes[rows],
-                                      backend=flow["backend"])
+        words = chain_v.process_fixed(batch.codes[rows])
         normalized = chain_v.output_to_normalized(words)
         trimmed = normalized[:, settle:settle + n_out]
         analyses = analyze_tone_batch(
@@ -317,14 +311,9 @@ def run_robustness_suite(scenarios: Optional[Sequence[Union[str, Scenario]]] = N
     for scenario in selected:
         effective = (stimulus_samples if stimulus_samples is not None
                      else scenario.stimulus.n_samples)
-        decimation = scenario.spec.total_decimation
-        if effective < MIN_ANALYSIS_OUTPUTS * decimation:
-            raise ValueError(
-                f"stimulus_samples={effective} yields fewer than "
-                f"{MIN_ANALYSIS_OUTPUTS} output samples for scenario "
-                f"'{scenario.name}' (decimation {decimation}); the SNR "
-                f"analysis needs at least "
-                f"{MIN_ANALYSIS_OUTPUTS * decimation}")
+        require_snr_record_length(effective, scenario.spec.total_decimation,
+                                  "stimulus_samples",
+                                  f" for scenario '{scenario.name}'")
     model = model if model is not None else default_model()
     cache = ArtifactCAS(cache_dir) if cache_dir is not None else None
     store = store if store is not None else ArtifactStore()
@@ -411,12 +400,10 @@ def _run_single(scenario: Scenario, model: PerturbationModel, n_samples: int,
     flow_result = run_design_flow(
         spec=spec, options=options, library=library,
         include_snr_simulation=False,
-        measure_activity=run["measure_activity"],
-        backend=run["backend"], artifacts=store)
+        measure_activity=run["measure_activity"], artifacts=store)
     nominal_snr = simulated_output_snr(
         flow_result.chain, n_samples=stim_n, tone_hz=run["snr_tone_hz"],
-        amplitude=run["snr_amplitude"], backend=run["backend"],
-        artifacts=store)
+        amplitude=run["snr_amplitude"], artifacts=store)
     synthesis = flow_result.synthesis
     nominal = {
         "snr_db": float(nominal_snr),
@@ -437,7 +424,6 @@ def _run_single(scenario: Scenario, model: PerturbationModel, n_samples: int,
 
     flow_payload = {
         "library": run["library"],
-        "backend": run["backend"],
         "snr_samples": stim_n,
         "snr_tone_hz": run["snr_tone_hz"],
         "snr_amplitude": run["snr_amplitude"],

@@ -89,8 +89,6 @@ class Scenario:
     measure_activity: bool = False
     #: Standard-cell library for the power/area estimates.
     library: str = "generic-45nm"
-    #: Bit-true chain engine for the simulation legs.
-    backend: str = "auto"
     #: Output rates of the Farrow rate-converter leg; empty tuple skips it.
     resample_rates_hz: Tuple[float, ...] = ()
     #: Paper artefact this scenario anchors to (figure/table/claim).
@@ -112,7 +110,7 @@ class Scenario:
         library/backend/SNR keys), extended with the scenario's explicit
         stimulus so the on-disk cache key covers it.
         """
-        from repro.explore.store import CACHE_SCHEMA_VERSION
+        from repro.explore.store import CACHE_SCHEMA_VERSION, FLOW_SETTINGS_BACKEND
 
         tone = self.stimulus
         return {
@@ -121,7 +119,7 @@ class Scenario:
             "snr_tone_hz": float(tone.tone_hz),
             "snr_amplitude": float(tone.amplitude),
             "measure_activity": bool(self.measure_activity),
-            "backend": str(self.backend),
+            "backend": FLOW_SETTINGS_BACKEND,
             "library": str(self.library),
             "cache_schema": CACHE_SCHEMA_VERSION,
         }

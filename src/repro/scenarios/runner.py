@@ -95,7 +95,7 @@ def _rate_converter_leg(chain, flow: dict, rates: Sequence[float],
     spec = chain.spec
     codes = modulator_tone_codes(spec.modulator, exact_tone_hz, amplitude,
                                  total, artifacts=artifacts)
-    words = chain.process_fixed(codes, backend=flow.get("backend", "auto"))
+    words = chain.process_fixed(codes)
     output = chain.output_to_normalized(words)[settle:]
     input_rate = float(spec.decimator.output_rate_hz)
 

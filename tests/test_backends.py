@@ -1,11 +1,13 @@
-"""Vectorized-vs-reference backend equivalence and block-streaming tests.
+"""Vectorized-vs-reference engine equivalence and block-streaming tests.
 
 Every bit-true stage of the chain has two engines — the sample-by-sample /
 arbitrary-precision reference and the numpy vectorized fast path — that must
-produce *bit-identical* outputs.  These tests pin that contract across sinc
-orders, decimation factors, word widths and random fixed-point inputs, and
-verify that the block-streaming simulator reproduces the one-shot simulation
-exactly for arbitrary block sizes.
+produce *bit-identical* outputs.  The library picks the engine from word
+widths alone; the ``reference_engines`` fixture (root ``conftest.py``)
+forces the reference engines as the oracle.  These tests pin the contract
+across sinc orders, decimation factors, word widths and random fixed-point
+inputs, and verify that the block-streaming simulator reproduces the
+one-shot simulation exactly for arbitrary block sizes.
 """
 
 import dataclasses
@@ -17,7 +19,6 @@ from repro.core import design_paper_chain
 from repro.dsm import DeltaSigmaModulator, coherent_tone
 from repro.filters import (
     FIRFilterFixedPoint,
-    HogenauerConfig,
     HogenauerDecimator,
     PolyphaseDecimator,
     PolyphaseDecimatorFixedPoint,
@@ -73,61 +74,70 @@ class TestConvolveStridedMatmul:
 class TestHogenauerBackendEquivalence:
     @pytest.mark.parametrize("order", [1, 2, 4, 6])
     @pytest.mark.parametrize("decimation", [2, 3, 4, 8])
-    def test_bit_exact_across_orders_and_factors(self, order, decimation, rng):
+    def test_bit_exact_across_orders_and_factors(self, order, decimation, rng,
+                                                 reference_engines):
         spec = SincFilterSpec(order=order, decimation=decimation, input_bits=4,
                               input_rate_hz=640e6)
         x = rng.integers(-8, 8, 613)
-        ref = HogenauerDecimator(spec).process(x, backend="reference")
-        vec = HogenauerDecimator(spec).process(x, backend="vectorized")
+        with reference_engines():
+            ref = HogenauerDecimator(spec).process(x)
+        vec = HogenauerDecimator(spec).process(x)
         assert np.array_equal(ref, vec)
         gold = HogenauerDecimator(spec).reference_output(x)
         assert np.array_equal(ref, gold)
 
     @pytest.mark.parametrize("input_bits", [1, 4, 8, 12, 16])
-    def test_bit_exact_across_word_widths(self, input_bits, rng):
+    def test_bit_exact_across_word_widths(self, input_bits, rng,
+                                          reference_engines):
         spec = SincFilterSpec(order=4, decimation=2, input_bits=input_bits,
                               input_rate_hz=640e6)
         half = 1 << (input_bits - 1) if input_bits > 1 else 1
         x = rng.integers(-half, half, 500)
-        ref = HogenauerDecimator(spec).process(x, backend="reference")
-        vec = HogenauerDecimator(spec).process(x, backend="vectorized")
+        with reference_engines():
+            ref = HogenauerDecimator(spec).process(x)
+        vec = HogenauerDecimator(spec).process(x)
         assert np.array_equal(ref, vec)
 
-    def test_streaming_state_is_shared_between_backends(self, rng):
+    def test_streaming_state_is_shared_between_backends(self, rng,
+                                                        reference_engines):
         spec = SincFilterSpec(order=4, decimation=2, input_bits=4,
                               input_rate_hz=640e6)
         x = rng.integers(-8, 8, 501)
-        one_shot = HogenauerDecimator(spec).process(x, backend="vectorized")
+        one_shot = HogenauerDecimator(spec).process(x)
         mixed = HogenauerDecimator(spec)
-        parts = [mixed.process(x[:100], backend="vectorized"),
-                 mixed.process(x[100:101], backend="reference"),
-                 mixed.process(x[101:400], backend="vectorized"),
-                 mixed.process(x[400:], backend="reference")]
+        parts = [mixed.process(x[:100])]
+        with reference_engines():
+            parts.append(mixed.process(x[100:101]))
+        parts.append(mixed.process(x[101:400]))
+        with reference_engines():
+            parts.append(mixed.process(x[400:]))
         assert np.array_equal(one_shot, np.concatenate(parts))
 
     @staticmethod
-    def _traced(spec, blocks, backend):
+    def _traced(spec, blocks):
         dec = HogenauerDecimator(spec)
         for block in blocks:
-            dec.process(block, collect_trace=True, backend=backend)
+            dec.process(block, collect_trace=True)
         return dec.trace
 
-    def test_auto_trace_matches_reference(self, rng):
+    def test_auto_trace_matches_reference(self, rng, reference_engines):
         spec = SincFilterSpec(order=4, decimation=2, input_bits=4,
                               input_rate_hz=640e6)
         blocks = [rng.integers(-8, 8, 64)]
-        auto = self._traced(spec, blocks, "auto")
-        ref = self._traced(spec, blocks, "reference")
+        auto = self._traced(spec, blocks)
+        with reference_engines():
+            ref = self._traced(spec, blocks)
         assert auto.samples == 64
         assert auto.toggles == ref.toggles
 
-    def test_vectorized_trace_matches_reference(self, rng):
+    def test_vectorized_trace_matches_reference(self, rng, reference_engines):
         spec = SincFilterSpec(order=4, decimation=2, input_bits=4,
                               input_rate_hz=640e6)
         blocks = [rng.integers(-8, 8, 16), rng.integers(-8, 8, 1),
                   rng.integers(-8, 8, 0), rng.integers(-8, 8, 37)]
-        vec = self._traced(spec, blocks, "vectorized")
-        ref = self._traced(spec, blocks, "reference")
+        vec = self._traced(spec, blocks)
+        with reference_engines():
+            ref = self._traced(spec, blocks)
         assert vec.samples == ref.samples == 54
         assert list(vec.toggles.items()) == list(ref.toggles.items())
 
@@ -138,57 +148,58 @@ class TestHogenauerBackendEquivalence:
         dec = HogenauerDecimator(spec)
         assert dec.width > 62
         x = rng.integers(-(1 << 39), 1 << 39, 256)
-        out = dec.process(x, backend="auto")
+        out = dec.process(x)
         assert out.dtype == object
-        with pytest.raises(ValueError):
-            HogenauerDecimator(spec).process(x, backend="vectorized")
+        assert np.array_equal(out, HogenauerDecimator(spec).reference_output(x))
 
-    def test_object_dtype_input_wrapped_like_reference(self):
+    def test_object_dtype_input_wrapped_like_reference(self, reference_engines):
         # Arbitrary-precision inputs beyond int64 must wrap to the register
         # width (as hardware would), identically on both engines.
         spec = SincFilterSpec(order=2, decimation=2, input_bits=4,
                               input_rate_hz=640e6)
         x = np.array([2 ** 70 + 3, -(2 ** 80) + 1, 5, -7] * 8, dtype=object)
-        ref = HogenauerDecimator(spec).process(x, backend="reference")
-        vec = HogenauerDecimator(spec).process(x, backend="vectorized")
+        with reference_engines():
+            ref = HogenauerDecimator(spec).process(x)
+        vec = HogenauerDecimator(spec).process(x)
         assert np.array_equal(ref, vec)
-
-    def test_unknown_backend_rejected(self, rng):
-        spec = SincFilterSpec(order=2, decimation=2, input_bits=4,
-                              input_rate_hz=640e6)
-        with pytest.raises(ValueError):
-            HogenauerDecimator(spec).process(rng.integers(-8, 8, 8),
-                                             backend="simd")
 
 
 class TestFIRStageBackendEquivalence:
-    def test_halfband_bit_exact(self, paper_chain, rng):
+    @staticmethod
+    def _both(stage, x, reference_engines):
+        """``(fast, reference)`` outputs of one stage on the same input."""
+        fast = stage.process(x)
+        with reference_engines():
+            ref = stage.process(x)
+        assert ref.dtype == object
+        return fast, ref
+
+    def test_halfband_bit_exact(self, paper_chain, rng, reference_engines):
         hb = paper_chain._halfband_impl
         x = rng.integers(-3000, 3000, 2049)
-        ref = hb.process(x, backend="reference")
-        vec = hb.process(x, backend="vectorized")
+        vec, ref = self._both(hb, x, reference_engines)
         assert vec.dtype == np.int64
         assert _ints(ref) == _ints(vec)
 
-    def test_equalizer_bit_exact(self, paper_chain, rng):
+    def test_equalizer_bit_exact(self, paper_chain, rng, reference_engines):
         eq = paper_chain._equalizer_impl
         x = rng.integers(-60000, 60000, 1025)
-        assert _ints(eq.process(x, backend="reference")) == \
-            _ints(eq.process(x, backend="vectorized"))
+        vec, ref = self._both(eq, x, reference_engines)
+        assert _ints(ref) == _ints(vec)
 
-    def test_decimating_fir_bit_exact(self, rng):
+    def test_decimating_fir_bit_exact(self, rng, reference_engines):
         taps = np.hanning(33) / np.hanning(33).sum()
         fir = FIRFilterFixedPoint(taps=taps, coefficient_bits=14, decimation=4)
         x = rng.integers(-500, 500, 1003)
-        assert _ints(fir.process(x, backend="reference")) == \
-            _ints(fir.process(x, backend="vectorized"))
+        vec, ref = self._both(fir, x, reference_engines)
+        assert _ints(ref) == _ints(vec)
 
-    def test_polyphase_fixed_point_bit_exact(self, rng):
+    def test_polyphase_fixed_point_bit_exact(self, rng, reference_engines):
         taps = np.blackman(41) / np.blackman(41).sum()
         poly = PolyphaseDecimatorFixedPoint(taps, decimation=5)
         x = rng.integers(-2000, 2000, 997)
-        assert _ints(poly.process(x, backend="reference")) == \
-            _ints(poly.process(x, backend="vectorized"))
+        vec, ref = self._both(poly, x, reference_engines)
+        assert _ints(ref) == _ints(vec)
 
     def test_polyphase_float_matmul_identity(self, rng):
         taps = np.hamming(25) / np.hamming(25).sum()
@@ -196,65 +207,89 @@ class TestFIRStageBackendEquivalence:
         x = rng.normal(size=500)
         assert np.allclose(poly.process(x), poly.process_matmul(x), atol=1e-9)
 
-    def test_scaling_bit_exact(self, paper_chain, rng):
+    def test_scaling_bit_exact(self, paper_chain, rng, reference_engines):
         sc = paper_chain.scaling
         x = rng.integers(-100000, 100000, 777)
-        assert _ints(sc.process(x, backend="reference")) == \
-            _ints(sc.process(x, backend="vectorized"))
+        vec, ref = self._both(sc, x, reference_engines)
+        assert _ints(ref) == _ints(vec)
 
-    def test_scaling_arbitrary_constant(self, rng):
+    def test_scaling_arbitrary_constant(self, rng, reference_engines):
         sc = ScalingStage(scale=3.14159, coefficient_bits=10)
         x = rng.integers(-4000, 4000, 256)
-        assert _ints(sc.process(x, backend="reference")) == \
-            _ints(sc.process(x, backend="vectorized"))
+        vec, ref = self._both(sc, x, reference_engines)
+        assert _ints(ref) == _ints(vec)
 
-    def test_int64_min_input_falls_back_exactly(self):
+    def test_int64_min_input_falls_back_exactly(self, reference_engines):
         # np.abs(-2**63) overflows back to itself; the safety guard must
-        # still classify it unsafe so auto uses the exact reference path.
+        # still classify it unsafe so the exact reference path runs.
         sc = ScalingStage(scale=0.75, coefficient_bits=8)
         x = np.array([-2 ** 63, 5], dtype=np.int64)
-        auto = sc.process(x, backend="auto")
-        ref = sc.process(x, backend="reference")
+        auto, ref = self._both(sc, x, reference_engines)
         assert auto.dtype == object
         assert _ints(auto) == _ints(ref)
 
-    def test_vectorized_overflow_guard(self, paper_chain):
+    def test_vectorized_overflow_guard(self, paper_chain, reference_engines):
+        # Accumulators that may overflow int64 silently fall back to the
+        # exact reference path.
         hb = paper_chain._halfband_impl
         huge = np.array([1 << 50, -(1 << 50)], dtype=np.int64)
-        with pytest.raises(ValueError):
-            hb.process(huge, backend="vectorized")
-        # auto silently falls back to the exact reference path.
-        out = hb.process(huge, backend="auto")
+        out, ref = self._both(hb, huge, reference_engines)
         assert out.dtype == object
+        assert _ints(out) == _ints(ref)
 
 
 class TestChainBackendEquivalence:
-    def test_process_fixed_bit_exact(self, paper_chain, paper_codes):
-        ref = paper_chain.process_fixed(paper_codes, backend="reference")
-        vec = paper_chain.process_fixed(paper_codes, backend="vectorized")
+    def test_process_fixed_bit_exact(self, paper_chain, paper_codes,
+                                     reference_engines):
+        with reference_engines():
+            ref = paper_chain.process_fixed(paper_codes)
+        vec = paper_chain.process_fixed(paper_codes)
         assert np.array_equal(ref, vec)
 
-    def test_auto_matches_reference(self, paper_chain, paper_codes):
+    def test_auto_matches_reference(self, paper_chain, paper_codes,
+                                    reference_engines):
         auto = paper_chain.process_fixed(paper_codes)
-        ref = paper_chain.process_fixed(paper_codes, backend="reference")
+        with reference_engines():
+            ref = paper_chain.process_fixed(paper_codes)
         assert np.array_equal(auto, ref)
 
-    def test_random_codes_bit_exact(self, paper_chain, rng):
+    def test_oracle_fixture_never_runs_a_fast_engine(self, paper_chain,
+                                                     paper_codes,
+                                                     reference_engines,
+                                                     monkeypatch):
+        from repro.filters import polyphase
+
+        def fast_engine(*args, **kwargs):
+            raise AssertionError("a fast engine ran under reference_engines")
+
+        monkeypatch.setattr(HogenauerDecimator, "_process_vectorized",
+                            fast_engine)
+        monkeypatch.setattr(polyphase, "convolve_strided_matmul", fast_engine)
+        with reference_engines():
+            paper_chain.process_fixed(paper_codes[:512])
+            paper_chain.process_fixed(paper_codes[:512].reshape(2, 256))
+            list(paper_chain.simulate_blocks(paper_codes[:512], block_size=100))
+
+    def test_random_codes_bit_exact(self, paper_chain, rng, reference_engines):
         codes = rng.integers(0, 16, 4096)
-        ref = paper_chain.process_fixed(codes, backend="reference")
-        vec = paper_chain.process_fixed(codes, backend="vectorized")
+        with reference_engines():
+            ref = paper_chain.process_fixed(codes)
+        vec = paper_chain.process_fixed(codes)
         assert np.array_equal(ref, vec)
 
     def test_trace_collection_identical_across_backends(self, paper_chain,
-                                                        paper_codes):
-        traces = {}
-        for backend in ("reference", "vectorized"):
-            paper_chain.process_fixed(paper_codes[:1024], collect_trace=True,
-                                      backend=backend)
-            traces[backend] = [(stage.trace.samples, stage.trace.toggles)
-                               for stage in paper_chain._hogenauer_stages]
-        assert traces["vectorized"] == traces["reference"]
-        samples, toggles = traces["vectorized"][0]
+                                                        paper_codes,
+                                                        reference_engines):
+        def traces():
+            paper_chain.process_fixed(paper_codes[:1024], collect_trace=True)
+            return [(stage.trace.samples, stage.trace.toggles)
+                    for stage in paper_chain._hogenauer_stages]
+
+        with reference_engines():
+            reference = traces()
+        vectorized = traces()
+        assert vectorized == reference
+        samples, toggles = vectorized[0]
         assert samples == 1024
         assert any(v > 0 for v in toggles.values())
 
@@ -286,7 +321,7 @@ class TestStreamingSimulation:
     def test_streaming_fir_single_push_matches_block(self, paper_chain, rng):
         hb = paper_chain._halfband_impl
         x = rng.integers(-2000, 2000, 1024)
-        block = hb.process(x, backend="vectorized")
+        block = hb.process(x)
         stream = StreamingFIRDecimator(hb._int_taps, hb.coefficient_bits,
                                        decimation=2,
                                        delay=(hb.n_taps - 1) // 2)

@@ -116,6 +116,23 @@ class TestBatchedFilters:
         # The batch path must not disturb streaming state.
         assert batch_stage._integrators == [0] * spec.order
 
+    def test_hogenauer_batch_wide_registers_loop_reference(self):
+        # 40 + 4*6 = 64-bit registers exceed the vectorized engine: the
+        # batch runs each row on the reference engine instead of raising.
+        spec = SincFilterSpec(order=4, decimation=64, input_bits=40,
+                              input_rate_hz=640e6)
+        rng = np.random.default_rng(11)
+        records = rng.integers(-(1 << 39), 1 << 39, size=(3, 256))
+        batched = HogenauerDecimator(spec, HogenauerConfig()).process_batch(records)
+        assert batched.shape == (3, 4)
+        for b in range(records.shape[0]):
+            row = HogenauerDecimator(spec, HogenauerConfig()).process(records[b])
+            assert row.dtype == object
+            assert [int(v) for v in batched[b]] == [int(v) for v in row]
+        empty = HogenauerDecimator(spec, HogenauerConfig()).process_batch(
+            records[:0])
+        assert empty.shape == (0, 4)
+
     def test_hogenauer_batch_rejects_1d(self):
         spec = SincFilterSpec(order=4, decimation=2, input_bits=4,
                               input_rate_hz=640e6)

@@ -415,6 +415,57 @@ class TestArgumentValidation:
         assert "must be finite and > 0" in lines[0]
         assert "Traceback" not in stderr.getvalue()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("args", [
+        ("client", "--timeout={}", "health"),
+        ("serve", "--drain-grace-s={}"),
+        ("serve", "--write-timeout-s={}"),
+        ("cache", "prune", "--older-than-days={}"),
+        ("cache", "prune", "--tmp-grace-s={}"),
+    ])
+    def test_non_finite_float_flags_are_clean_errors(self, args, value,
+                                                     tmp_path):
+        argv = [a.format(value) for a in args]
+        if argv[0] == "cache":
+            argv += ["--cache-dir", str(tmp_path / "cache")]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        code = run_command(argv, stdout=stdout, stderr=stderr)
+        assert code == 2
+        errors = [line for line in stderr.getvalue().splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1
+        assert f"must be a finite number (got '{value}')" in errors[0]
+        assert "Traceback" not in stderr.getvalue()
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-5", "10", "1023"])
+    @pytest.mark.parametrize("command", [
+        ("design", "--snr", "--no-activity"),
+        ("verify", "--snr", "--no-activity"),
+        ("sweep", "--snr", "--output-bits", "12", "--no-cache", "--quiet"),
+    ])
+    def test_too_short_snr_samples_are_clean_errors(self, command, value):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        code = run_command([*command, "--snr-samples", value],
+                           stdout=stdout, stderr=stderr)
+        assert code == 2
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"--snr-samples {value} is too short" in lines[0]
+        assert "needs at least 1024" in lines[0]
+        assert stdout.getvalue() == ""
+
+    def test_sweep_snr_floor_covers_every_grid_point(self):
+        # OSR 32 doubles the decimation, so 1024 samples clear the OSR-16
+        # point's floor but not the OSR-32 point's.
+        stdout, stderr = io.StringIO(), io.StringIO()
+        code = run_command(["sweep", "--osr", "16", "32", "--snr",
+                            "--snr-samples", "1024", "--no-cache", "--quiet"],
+                           stdout=stdout, stderr=stderr)
+        assert code == 2
+        assert "for sweep point 'osr32'" in stderr.getvalue()
+        assert "needs at least 2048" in stderr.getvalue()
+
     def test_unknown_executor_is_an_argparse_error(self):
         proc = run_cli("sweep", "--executor", "bogus", "--output-bits", "12",
                        check=False)

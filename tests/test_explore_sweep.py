@@ -127,3 +127,31 @@ class TestCacheKeys:
         base = SweepSpec().expand()[0]
         other = SweepSpec(options=ChainDesignOptions(equalizer_order=32)).expand()[0]
         assert base.cache_key() != other.cache_key()
+
+
+class TestFrozenKeyFormat:
+    """Store keys must not drift: a changed key silently invalidates every
+    existing sweep and scenario store.  The literals were computed before
+    the bit-true chain's engine switch was retired, whose flow settings
+    still carry the constant ``"backend": "auto"`` entry."""
+
+    def test_default_sweep_point_key(self):
+        from repro.explore.runner import sweep_flow_settings
+
+        point = SweepSpec(base=paper_chain_spec()).expand()[0]
+        assert point.cache_key(sweep_flow_settings()) == (
+            "68f97cfef09bc576c82e1356da769b30dc4096dddb5b179da27dba7b0cd793f8")
+
+    def test_sweep_flow_settings_layout(self):
+        from repro.explore.runner import sweep_flow_settings
+
+        assert sweep_flow_settings() == {
+            "include_snr": False, "snr_samples": 16384,
+            "measure_activity": False, "backend": "auto",
+            "library": "generic-45nm", "cache_schema": 2}
+
+    def test_registry_scenario_key(self):
+        from repro.scenarios import get_scenario
+
+        assert get_scenario("lte-20").cache_key() == (
+            "f7cf81e836be2438e24a5249dba21c0d11b3adf5e72455dc5260cadaed51afbc")

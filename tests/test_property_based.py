@@ -134,12 +134,14 @@ class TestHogenauerProperties:
            order=st.integers(min_value=1, max_value=6),
            decimation=st.integers(min_value=2, max_value=8))
     @settings(max_examples=80, deadline=None)
-    def test_vectorized_backend_is_bit_exact(self, data, order, decimation):
+    def test_vectorized_backend_is_bit_exact(self, data, order, decimation,
+                                             reference_engines):
         spec = SincFilterSpec(order=order, decimation=decimation, input_bits=4,
                               input_rate_hz=640e6)
         x = np.array(data, dtype=np.int64)
-        ref = HogenauerDecimator(spec).process(x, backend="reference")
-        vec = HogenauerDecimator(spec).process(x, backend="vectorized")
+        with reference_engines():
+            ref = HogenauerDecimator(spec).process(x)
+        vec = HogenauerDecimator(spec).process(x)
         assert [int(v) for v in ref] == [int(v) for v in vec]
 
     @given(data=st.lists(st.integers(min_value=-8, max_value=7),
@@ -154,11 +156,11 @@ class TestHogenauerProperties:
                               input_rate_hz=640e6)
         x = np.array(data, dtype=np.int64)
         cut = min(split, len(x))
-        one_shot = HogenauerDecimator(spec).process(x, backend="vectorized")
+        one_shot = HogenauerDecimator(spec).process(x)
         streamer = HogenauerDecimator(spec)
         streamed = np.concatenate([
-            streamer.process(x[:cut], backend="vectorized"),
-            streamer.process(x[cut:], backend="vectorized")])
+            streamer.process(x[:cut]),
+            streamer.process(x[cut:])])
         assert [int(v) for v in one_shot] == [int(v) for v in streamed]
 
     @given(order=st.integers(min_value=1, max_value=8),
